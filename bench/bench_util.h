@@ -35,10 +35,7 @@ inline void add_common_flags(Cli& cli) {
 ///
 /// --trace forces 1: spans reach the recorder through a thread-local
 /// pointer, so traced repetitions must run inline on the main thread (where
-/// the ScopedClock epoch shift chains them onto one timeline).  This only
-/// constrains repetition sweeps — partitioned-scheduler workers trace at
-/// any count, because the window protocol installs a per-partition recorder
-/// around every execution slice and merges timelines deterministically.
+/// the ScopedClock epoch shift chains them onto one timeline).
 inline std::size_t resolve_jobs(const Cli& cli) {
   std::size_t jobs = normalize_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
   if (!cli.get("trace").empty()) jobs = 1;

@@ -1,15 +1,12 @@
 // Self-profiling microbench for the simulator core (perf trajectory anchor).
 //
 // Runs the shared scenario registry (harness/selfprof_scenarios.h) — IOR,
-// field I/O patterns A/B at low and high contention, a chaos-profile run,
-// and the two partitioned campaign scenarios — and reports, per scenario,
-// the simulator's raw event throughput (scheduler events per wall-clock
-// second), flow throughput and wall-clock per run.  Partitioned scenarios
-// are timed twice, at 1 worker and at the resolved --jobs count, to record
-// the intra-run window-protocol speedup.  A further section times a small
-// experiment sweep serially and with the parallel run engine; since the
-// run-pool batching fix the sweep speedup is asserted >= 1.0 (the binary
-// exits nonzero otherwise).  Results are emitted as machine-readable JSON
+// field I/O patterns A/B at low and high contention and a chaos-profile
+// run — and reports, per scenario, the simulator's raw event throughput
+// (scheduler events per wall-clock second), flow throughput and wall-clock
+// per run.  A further section times a small experiment sweep serially and
+// with the parallel run engine (--jobs); since the run-pool batching fix the
+// sweep speedup is asserted >= 1.0 (the binary exits nonzero otherwise).  Results are emitted as machine-readable JSON
 // (BENCH_PR8.json by default; format documented in docs/PERFORMANCE.md) so
 // successive PRs can compare against a committed baseline.
 //
@@ -23,6 +20,7 @@
 
 #include "bench_util.h"
 #include "harness/selfprof_scenarios.h"
+#include "obs/json.h"
 
 namespace nws::bench {
 namespace {
@@ -36,35 +34,25 @@ double seconds_since(Clock::time_point t0) {
 
 struct ScenarioTiming {
   std::string name;
-  bool partitioned = false;
   std::uint64_t events = 0;
   std::uint64_t flows = 0;
   double sim_seconds = 0.0;
   double wall_seconds = 0.0;
-  // Partitioned scenarios only.
-  sim::PartitionRunStats partition;
-  double lookahead_seconds = 0.0;
-  double serial_wall_seconds = 0.0;  // same scenario at 1 worker
   [[nodiscard]] double events_per_sec() const {
     return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0;
   }
   [[nodiscard]] double flows_per_sec() const {
     return wall_seconds > 0 ? static_cast<double>(flows) / wall_seconds : 0.0;
   }
-  [[nodiscard]] double intra_run_speedup() const {
-    return partitioned && wall_seconds > 0 ? serial_wall_seconds / wall_seconds : 1.0;
-  }
 };
 
-/// Times `repetitions` runs of one scenario at the given worker count.
-ScenarioTiming time_scenario(const SelfprofScenario& scenario, std::uint64_t seed,
-                             std::size_t jobs) {
+/// Times kScenarioRepetitions runs of one scenario.
+ScenarioTiming time_scenario(const SelfprofScenario& scenario, std::uint64_t seed) {
   ScenarioTiming t;
   t.name = scenario.name;
-  t.partitioned = scenario.partitioned;
   const auto t0 = Clock::now();
-  for (int rep = 0; rep < scenario.repetitions; ++rep) {
-    const ScenarioRun run = scenario.run(seed + static_cast<std::uint64_t>(rep), jobs);
+  for (int rep = 0; rep < kScenarioRepetitions; ++rep) {
+    const ScenarioRun run = scenario.run(seed + static_cast<std::uint64_t>(rep));
     if (run.outcome.failed) {
       throw std::runtime_error("selfprof scenario " + scenario.name +
                                " failed: " + run.outcome.failure);
@@ -72,17 +60,6 @@ ScenarioTiming time_scenario(const SelfprofScenario& scenario, std::uint64_t see
     t.events += run.events;
     t.flows += run.flows;
     t.sim_seconds += run.sim_seconds;
-    t.partition.windows += run.partition.windows;
-    t.partition.null_windows += run.partition.null_windows;
-    t.partition.cross_events += run.partition.cross_events;
-    t.partition.mailbox_spills += run.partition.mailbox_spills;
-    t.partition.barrier_wait_seconds += run.partition.barrier_wait_seconds;
-    t.partition.partitions = run.partition.partitions;
-    t.partition.workers_used = run.partition.workers_used;
-    t.partition.serial_fallback = run.partition.serial_fallback;
-    if (run.outcome.metrics.has("sim.partition.lookahead_seconds")) {
-      t.lookahead_seconds = run.outcome.metrics.value("sim.partition.lookahead_seconds");
-    }
   }
   t.wall_seconds = seconds_since(t0);
   return t;
@@ -105,23 +82,45 @@ double time_sweep(std::size_t seeds, std::uint64_t base_seed, std::size_t jobs) 
   return seconds_since(t0);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+/// Writes a parsed document back out, so an edited baseline can be embedded.
+void write_json(obs::JsonWriter& w, const obs::JsonValue& v) {
+  using Type = obs::JsonValue::Type;
+  switch (v.type) {
+    case Type::null: w.value_null(); break;
+    case Type::boolean: w.value(v.boolean); break;
+    case Type::number: w.value(v.number); break;
+    case Type::string: w.value(v.str); break;
+    case Type::array:
+      w.begin_array();
+      for (const obs::JsonValue& element : v.array) write_json(w, element);
+      w.end_array();
+      break;
+    case Type::object:
+      w.begin_object();
+      for (const auto& [key, member] : v.object) {
+        w.key(key);
+        write_json(w, member);
+      }
+      w.end_object();
+      break;
   }
-  return out;
 }
 
-/// Reads a previous selfprof emission to embed under "baseline" (whole file
-/// inlined verbatim, so the PR3 figures travel with the PR8 artifact).
+/// Reads a previous selfprof emission to embed under "baseline".  Only one
+/// level travels: the file's own "baseline" member is dropped, so artifacts
+/// do not nest every earlier emission inside each other.
 std::string load_baseline(const std::string& path) {
   std::ifstream in(path);
   if (!in) return "";
   std::stringstream buffer;
   buffer << in.rdbuf();
-  return buffer.str();
+  obs::JsonValue doc = obs::parse_json(buffer.str());
+  if (!doc.is_object()) throw std::runtime_error("baseline is not a JSON object: " + path);
+  std::erase_if(doc.object, [](const auto& member) { return member.first == "baseline"; });
+  std::ostringstream out;
+  obs::JsonWriter writer(out);
+  write_json(writer, doc);
+  return out.str();
 }
 
 }  // namespace
@@ -140,24 +139,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::size_t jobs_requested = normalize_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
   const std::size_t jobs = resolve_jobs(cli);  // sweep jobs (trace forces 1)
-  // Partitioned-run workers are clamped to the real core count — extra
-  // threads only add barrier traffic — and are trace-safe at any count.
-  const std::size_t part_jobs = std::min(jobs_requested, hardware_jobs());
   BenchObs obs(cli, "selfprof");
   const auto sweep_seeds = static_cast<std::size_t>(cli.get_int("sweep-seeds"));
 
   std::vector<ScenarioTiming> timings;
   for (const SelfprofScenario& scenario : selfprof_scenarios()) {
-    if (!scenario.partitioned) {
-      timings.push_back(time_scenario(scenario, seed, 1));
-      continue;
-    }
-    // Partitioned: time the single-worker reference first, then the
-    // multi-worker run the throughput figures are quoted from.
-    const ScenarioTiming reference = time_scenario(scenario, seed, 1);
-    ScenarioTiming best = part_jobs > 1 ? time_scenario(scenario, seed, part_jobs) : reference;
-    best.serial_wall_seconds = reference.wall_seconds;
-    timings.push_back(best);
+    timings.push_back(time_scenario(scenario, seed));
   }
 
   const double serial_wall = time_sweep(sweep_seeds, seed, 1);
@@ -175,8 +162,6 @@ int main(int argc, char** argv) {
 
   std::uint64_t total_events = 0;
   double total_wall = 0.0;
-  std::uint64_t part_events = 0;
-  double part_wall = 0.0;
   std::ostringstream json;
   json << "{\n";
   json << "  \"bench\": \"selfprof\",\n";
@@ -184,42 +169,24 @@ int main(int argc, char** argv) {
   json << "  \"seed\": " << seed << ",\n";
   json << "  \"host_cores\": " << hardware_jobs() << ",\n";
   json << "  \"jobs_requested\": " << jobs_requested << ",\n";
-  json << "  \"jobs_used\": " << part_jobs << ",\n";
   json << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const ScenarioTiming& s = timings[i];
     total_events += s.events;
     total_wall += s.wall_seconds;
-    json << "    {\"name\": \"" << json_escape(s.name) << "\", "
+    json << "    {\"name\": \"" << obs::json_escape(s.name) << "\", "
          << "\"events\": " << s.events << ", "
          << "\"flows\": " << s.flows << ", "
          << "\"sim_seconds\": " << strf("%.6f", s.sim_seconds) << ", "
          << "\"wall_seconds\": " << strf("%.6f", s.wall_seconds) << ", "
          << "\"events_per_sec\": " << strf("%.0f", s.events_per_sec()) << ", "
-         << "\"flows_per_sec\": " << strf("%.0f", s.flows_per_sec());
-    if (s.partitioned) {
-      part_events += s.events;
-      part_wall += s.wall_seconds;
-      json << ", \"partitions\": " << s.partition.partitions
-           << ", \"workers_used\": " << s.partition.workers_used
-           << ", \"windows\": " << s.partition.windows
-           << ", \"null_window_ratio\": " << strf("%.3f", s.partition.null_window_ratio())
-           << ", \"cross_events\": " << s.partition.cross_events
-           << ", \"mailbox_spills\": " << s.partition.mailbox_spills
-           << ", \"lookahead_seconds\": " << strf("%.9f", s.lookahead_seconds)
-           << ", \"barrier_wait_seconds\": " << strf("%.6f", s.partition.barrier_wait_seconds)
-           << ", \"serial_wall_seconds\": " << strf("%.6f", s.serial_wall_seconds)
-           << ", \"intra_run_speedup\": " << strf("%.2f", s.intra_run_speedup())
-           << ", \"serial_fallback\": " << (s.partition.serial_fallback ? "true" : "false");
-    }
-    json << "}" << (i + 1 < timings.size() ? "," : "") << "\n";
+         << "\"flows_per_sec\": " << strf("%.0f", s.flows_per_sec()) << "}"
+         << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   json << "  ],\n";
   json << "  \"aggregate_events_per_sec\": "
        << strf("%.0f", total_wall > 0 ? static_cast<double>(total_events) / total_wall : 0.0)
        << ",\n";
-  json << "  \"partitioned_aggregate_events_per_sec\": "
-       << strf("%.0f", part_wall > 0 ? static_cast<double>(part_events) / part_wall : 0.0) << ",\n";
   json << "  \"sweep\": {\"seeds\": " << sweep_seeds << ", \"jobs\": " << sweep_jobs << ", "
        << "\"serial_wall_seconds\": " << strf("%.3f", serial_wall) << ", "
        << "\"parallel_wall_seconds\": " << strf("%.3f", parallel_wall) << ", "

@@ -124,7 +124,7 @@ if [[ $run_tsan -eq 1 ]]; then
   echo "==> TSan build (build-tsan/, -fsanitize=thread): run pool + chaos sweep"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNWS_SANITIZE=thread
-  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test partition_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint
+  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint
   # The pool tests pin their own thread counts; the chaos sweep runs a
   # reduced scenario count (TSan is ~10x slower) across all hardware threads
   # to actually exercise cross-thread stealing.  StatsRaceTest hammers the
@@ -132,14 +132,6 @@ if [[ $run_tsan -eq 1 ]]; then
   # for the lazily-built sorted_ cache being written under const.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/harness_test --gtest_filter='RunPoolTest.*:StatsRaceTest.*:ExperimentTest.RepeatAndBestOverPpnIdenticalAtAnyJobCount:ExperimentTest.MetricsSnapshotIdenticalAtAnyJobCount'
-  # The partitioned window protocol: worker threads + SPSC mailboxes +
-  # std::barrier.  The scheduler and bench suites run multi-worker windowed
-  # executions (workers 2..8), which is where a missing release edge on the
-  # mailbox ring or a barrier-completion write would surface.  The full
-  # determinism suite stays in the plain pass — it is a logic property, and
-  # under TSan it would dominate the stage's wall clock.
-  TSAN_OPTIONS=halt_on_error=1 \
-    ./build-tsan/tests/partition_test --gtest_filter='SpscMailboxTest.*:PartitionedSchedulerTest.*:PartitionedBenchTest.*'
   TSAN_OPTIONS=halt_on_error=1 NWS_CHAOS_COUNT=24 NWS_JOBS=0 \
     ./build-tsan/tests/chaos_test
   # The dfs property/chaos sweep drives the POSIX emulation's shared

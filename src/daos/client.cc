@@ -120,16 +120,45 @@ sim::Task<KvHandle> Client::kv_open(ContHandle cont, const ObjectId& oid) {
 }
 
 sim::Task<Status> Client::kv_put(KvHandle& handle, const std::string& key, std::string value) {
-  obs::Span span("kv_put", "daos", actor_, trace_iteration_, static_cast<double>(value.size()));
-  if (!handle.valid()) throw std::logic_error("kv_put on closed handle");
-  if (handle.pinned()) co_return Status::error(Errc::invalid, "kv_put through a snapshot handle");
+  return put_kv(handle, key, std::move(value), /*if_absent=*/false);
+}
+
+sim::Task<Status> Client::kv_put_if_absent(KvHandle& handle, const std::string& key,
+                                           std::string value) {
+  return put_kv(handle, key, std::move(value), /*if_absent=*/true);
+}
+
+sim::Task<void> Client::replicate_kv_put(const std::vector<std::size_t>& replicas) {
+  const Bytes bytes = cluster_.model().kv_put_service_bytes;
+  std::vector<sim::Task<void>> fan;
+  fan.reserve(replicas.size());
+  for (const std::size_t target : replicas) {
+    auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
+      co_await cluster.flows().transfer(std::move(p), b);
+    }(cluster_, cluster_.service_path(target, /*is_write=*/true), bytes);
+    fan.push_back(std::move(one));
+  }
+  return sim::when_all(cluster_.scheduler(), std::move(fan));
+}
+
+sim::Task<Status> Client::put_kv(KvHandle& handle, const std::string& key, std::string value,
+                                 bool if_absent) {
+  const char* op = if_absent ? "kv_put_if_absent" : "kv_put";
+  obs::Span span(op, "daos", actor_, trace_iteration_, static_cast<double>(value.size()));
+  if (!handle.valid()) throw std::logic_error(std::string(op) + " on closed handle");
+  if (handle.pinned()) {
+    co_return Status::error(Errc::invalid, std::string(op) + " through a snapshot handle");
+  }
   const ModelConfig& m = cluster_.model();
   const auto route = kv_route(handle.oid, key, /*is_write=*/true);
   if (!route.status.is_ok()) co_return route.status;
   const std::size_t shard = route.primary;
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) co_return Status::error(Errc::io_error, "injected KV put failure");
+  if (cluster_.inject_io_failure()) {
+    co_return Status::error(Errc::io_error, if_absent ? "injected KV conditional put failure"
+                                                      : "injected KV put failure");
+  }
 
   // Shard service: metadata work competes with array I/O for the engine and
   // target.  Conditional updates contending on the same object abort and
@@ -145,81 +174,23 @@ sim::Task<Status> Client::kv_put(KvHandle& handle, const std::string& key, std::
   if (handle.kv->active_readers() > 0 || recently_read) retry += m.kv_cross_contention_bytes;
   co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true),
                                      m.kv_put_service_bytes + retry);
+
   // Replicated classes forward the update to every other live replica; the
-  // put is not durable until all of them have serviced it.
-  if (!route.replicas.empty()) {
-    std::vector<sim::Task<void>> fan;
-    fan.reserve(route.replicas.size());
-    for (const std::size_t target : route.replicas) {
-      auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
-        co_await cluster.flows().transfer(std::move(p), b);
-      }(cluster_, cluster_.service_path(target, /*is_write=*/true), m.kv_put_service_bytes);
-      fan.push_back(std::move(one));
-    }
-    co_await sim::when_all(cluster_.scheduler(), std::move(fan));
-  }
-
-  // Serialised transaction-ordering section on the object.
-  co_await handle.kv->object_lock().lock();
-  co_await cluster_.scheduler().delay(
-      static_cast<sim::Duration>(static_cast<double>(m.kv_put_serial) * jitter()));
-  handle.kv->put(key, std::move(value), handle.container->write_epoch());
-  handle.kv->note_update(cluster_.scheduler().now());
-  handle.kv->object_lock().unlock();
-  handle.kv->writer_exit();
-
-  ++stats_.kv_puts;
-  co_return Status::ok();
-}
-
-sim::Task<Status> Client::kv_put_if_absent(KvHandle& handle, const std::string& key,
-                                           std::string value) {
-  obs::Span span("kv_put_if_absent", "daos", actor_, trace_iteration_,
-                 static_cast<double>(value.size()));
-  if (!handle.valid()) throw std::logic_error("kv_put_if_absent on closed handle");
-  if (handle.pinned()) {
-    co_return Status::error(Errc::invalid, "kv_put_if_absent through a snapshot handle");
-  }
-  const ModelConfig& m = cluster_.model();
-  const auto route = kv_route(handle.oid, key, /*is_write=*/true);
-  if (!route.status.is_ok()) co_return route.status;
-  const std::size_t shard = route.primary;
-  co_await rpc(shard, m.kv_op_overhead);
-  if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) {
-    co_return Status::error(Errc::io_error, "injected KV conditional put failure");
-  }
-
-  handle.kv->writer_enter();
-  const std::size_t contenders = handle.kv->active_writers() - 1;
-  Bytes retry = m.kv_contention_retry_bytes *
-                static_cast<Bytes>(std::min(contenders, m.kv_contention_retry_cap));
-  const sim::TimePoint now_put = cluster_.scheduler().now();
-  const bool recently_read = handle.kv->last_read() >= 0 &&
-                             now_put - handle.kv->last_read() < m.kv_hot_entry_window;
-  if (handle.kv->active_readers() > 0 || recently_read) retry += m.kv_cross_contention_bytes;
-  co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true),
-                                     m.kv_put_service_bytes + retry);
-
-  // The existence check and the put form one serialised transaction on the
-  // object, so the replica fan-out happens under the lock: losers of a
+  // put is not durable until all of them have serviced it.  A plain put
+  // fans out before the serialised transaction-ordering section.  For a
+  // conditional put the existence check and the put form one serialised
+  // transaction, so its fan-out happens under the lock: losers of a
   // concurrent insert race must not forward anything.
+  const bool replicated = !route.replicas.empty();
+  if (replicated && !if_absent) co_await replicate_kv_put(route.replicas);
   co_await handle.kv->object_lock().lock();
-  if (handle.kv->contains(key, kEpochLatest)) {
-    handle.kv->object_lock().unlock();
-    handle.kv->writer_exit();
-    co_return Status::error(Errc::already_exists, "KV key exists: " + key);
-  }
-  if (!route.replicas.empty()) {
-    std::vector<sim::Task<void>> fan;
-    fan.reserve(route.replicas.size());
-    for (const std::size_t target : route.replicas) {
-      auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
-        co_await cluster.flows().transfer(std::move(p), b);
-      }(cluster_, cluster_.service_path(target, /*is_write=*/true), m.kv_put_service_bytes);
-      fan.push_back(std::move(one));
+  if (if_absent) {
+    if (handle.kv->contains(key, kEpochLatest)) {
+      handle.kv->object_lock().unlock();
+      handle.kv->writer_exit();
+      co_return Status::error(Errc::already_exists, "KV key exists: " + key);
     }
-    co_await sim::when_all(cluster_.scheduler(), std::move(fan));
+    if (replicated) co_await replicate_kv_put(route.replicas);
   }
   co_await cluster_.scheduler().delay(
       static_cast<sim::Duration>(static_cast<double>(m.kv_put_serial) * jitter()));

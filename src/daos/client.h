@@ -189,6 +189,17 @@ class Client {
   /// `unavailable` during a target outage window, `timeout` after waiting out
   /// a dropped RPC, `io_error` for a transient injected fault.
   sim::Task<Status> fault_check(std::size_t target_index);
+
+  /// The one KV put path behind kv_put (if_absent false) and
+  /// kv_put_if_absent (true): RPC, fault check, contention-priced shard
+  /// service, replica fan-out and the serialised ordering section.
+  sim::Task<Status> put_kv(KvHandle& handle, const std::string& key, std::string value,
+                           bool if_absent);
+
+  /// Concurrent put service on every extra replica of an RP-class KV.  A
+  /// plain function returning when_all's task, so it adds no coroutine frame.
+  sim::Task<void> replicate_kv_put(const std::vector<std::size_t>& replicas);
+
   [[nodiscard]] double jitter() { return rng_.lognormal_jitter(cluster_.model().op_jitter_sigma); }
 
   /// One array op's resolved fan-out after pool-map routing.

@@ -84,10 +84,10 @@ struct FieldBenchResult {
 };
 
 /// Spawn/collect decomposition of the pattern runners, for drivers that own
-/// the run loop themselves — the partitioned scheduler advances several
-/// clusters' schedulers in lock-step windows, so it cannot let each pattern
-/// call scheduler().run() internally.  run_field_pattern_a/b below remain
-/// the single-cluster convenience wrappers (spawn, run, collect).
+/// the run loop themselves — the perfbench runner times spawn, run and
+/// collect as separate phases, so it cannot let the pattern call
+/// scheduler().run() internally.  run_field_pattern_a/b below remain the
+/// convenience wrappers (spawn, run, collect).
 class FieldPatternRun {
  public:
   /// `pattern` is 'A' or 'B'; params are validated against the cluster.

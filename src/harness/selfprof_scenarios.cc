@@ -14,10 +14,10 @@ namespace nws::bench {
 
 namespace {
 
-/// One serial field repetition: the run_field_once shape, additionally
-/// capturing the raw throughput counters selfprof charts.
-ScenarioRun run_field_serial(daos::ClusterConfig cfg, const FieldBenchParams& params, char pattern,
-                             std::uint64_t seed) {
+/// One field repetition: the run_field_once shape, additionally capturing
+/// the raw throughput counters selfprof charts.
+ScenarioRun run_field_scenario(daos::ClusterConfig cfg, const FieldBenchParams& params,
+                               char pattern, std::uint64_t seed) {
   cfg.seed = seed;
   sim::Scheduler sched;
   const obs::ScopedClock trace_clock(sched);
@@ -51,8 +51,8 @@ ScenarioRun run_field_serial(daos::ClusterConfig cfg, const FieldBenchParams& pa
   return run;
 }
 
-ScenarioRun run_ior_serial(daos::ClusterConfig cfg, const ior::IorParams& params,
-                           std::uint64_t seed) {
+ScenarioRun run_ior_scenario(daos::ClusterConfig cfg, const ior::IorParams& params,
+                             std::uint64_t seed) {
   cfg.seed = seed;
   sim::Scheduler sched;
   const obs::ScopedClock trace_clock(sched);
@@ -73,21 +73,6 @@ ScenarioRun run_ior_serial(daos::ClusterConfig cfg, const ior::IorParams& params
   return run;
 }
 
-ScenarioRun run_partitioned(const daos::ClusterConfig& shard_cfg, PartitionedRunParams params,
-                            std::uint64_t seed, std::size_t jobs) {
-  params.jobs = jobs;
-  const PartitionedOutcome out = run_field_partitioned(shard_cfg, params, seed);
-  ScenarioRun run;
-  run.outcome = out.outcome;
-  run.partition = out.stats;
-  run.events = out.stats.events_executed;
-  run.flows = run.outcome.metrics.has("net.flows_completed")
-                  ? static_cast<std::uint64_t>(run.outcome.metrics.value("net.flows_completed"))
-                  : 0;
-  run.sim_seconds = out.sim_seconds;
-  return run;
-}
-
 FieldBenchParams standard_field_params(fdb::Mode mode, bool shared) {
   FieldBenchParams params;
   params.mode = mode;
@@ -102,25 +87,25 @@ FieldBenchParams standard_field_params(fdb::Mode mode, bool shared) {
 std::vector<SelfprofScenario> selfprof_scenarios() {
   std::vector<SelfprofScenario> out;
 
-  out.push_back({"ior_2s4c_pattern_a", 3, false, [](std::uint64_t seed, std::size_t) {
+  out.push_back({"ior_2s4c_pattern_a", [](std::uint64_t seed) {
                    ior::IorParams params;
                    params.segments = 50;
                    params.processes_per_node = 24;
-                   return run_ior_serial(testbed_config(2, 4), params, seed);
+                   return run_ior_scenario(testbed_config(2, 4), params, seed);
                  }});
 
   const auto field_scenario = [&](const std::string& name, fdb::Mode mode, bool shared,
                                   char pattern) {
-    out.push_back({name, 3, false, [mode, shared, pattern](std::uint64_t seed, std::size_t) {
-                     return run_field_serial(testbed_config(1, 2),
-                                             standard_field_params(mode, shared), pattern, seed);
+    out.push_back({name, [mode, shared, pattern](std::uint64_t seed) {
+                     return run_field_scenario(testbed_config(1, 2),
+                                               standard_field_params(mode, shared), pattern, seed);
                    }});
   };
   field_scenario("field_full_low_contention_a", fdb::Mode::full, false, 'A');
   field_scenario("field_full_high_contention_a", fdb::Mode::full, true, 'A');
   field_scenario("field_noindex_high_contention_b", fdb::Mode::no_index, true, 'B');
 
-  out.push_back({"field_chaos_profile_a", 3, false, [](std::uint64_t seed, std::size_t) {
+  out.push_back({"field_chaos_profile_a", [](std::uint64_t seed) {
                    daos::ClusterConfig cfg = testbed_config(1, 2);
                    cfg.payload_mode = daos::PayloadMode::full;
                    cfg.fault_spec = fault::FaultSpec::default_chaos(mix64(seed ^ 0xfa017ull));
@@ -128,30 +113,7 @@ std::vector<SelfprofScenario> selfprof_scenarios() {
                    params.ops_per_process = 10;
                    params.processes_per_node = 8;
                    params.verify_payload = true;
-                   return run_field_serial(cfg, params, 'A', seed);
-                 }});
-
-  // The partitioned campaigns: 4 field shards under the window protocol —
-  // the scenarios the multicore events/s target and the --jobs determinism
-  // gate are defined over.
-  out.push_back({"field_full_partitioned_a", 3, true, [](std::uint64_t seed, std::size_t jobs) {
-                   PartitionedRunParams params;
-                   params.field = standard_field_params(fdb::Mode::full, true);
-                   params.pattern = 'A';
-                   params.shards = 4;
-                   return run_partitioned(testbed_config(1, 2), params, seed, jobs);
-                 }});
-  out.push_back({"field_chaos_partitioned_a", 3, true, [](std::uint64_t seed, std::size_t jobs) {
-                   daos::ClusterConfig cfg = testbed_config(1, 2);
-                   cfg.payload_mode = daos::PayloadMode::full;
-                   cfg.fault_spec = fault::FaultSpec::default_chaos(mix64(seed ^ 0xfa017ull));
-                   PartitionedRunParams params;
-                   params.field.ops_per_process = 10;
-                   params.field.processes_per_node = 8;
-                   params.field.verify_payload = true;
-                   params.pattern = 'A';
-                   params.shards = 4;
-                   return run_partitioned(cfg, params, seed, jobs);
+                   return run_field_scenario(cfg, params, 'A', seed);
                  }});
   return out;
 }
@@ -159,13 +121,10 @@ std::vector<SelfprofScenario> selfprof_scenarios() {
 std::string scenario_report_json(const SelfprofScenario& scenario, std::uint64_t seed,
                                  const ScenarioRun& run) {
   obs::RunReport report("selfprof." + scenario.name);
-  report.set_config({{"scenario", scenario.name},
-                     {"seed", std::to_string(seed)},
-                     {"partitioned", scenario.partitioned ? "1" : "0"}});
+  report.set_config({{"scenario", scenario.name}, {"seed", std::to_string(seed)}});
 
-  // Everything deterministic lands in the table; wall-clock quantities
-  // (ScenarioRun has none, PartitionRunStats has barrier_wait_seconds) are
-  // deliberately left out so the byte diff across --jobs values is exact.
+  // Everything deterministic lands in the table; ScenarioRun carries no
+  // wall-clock quantity, so the byte diff across job counts is exact.
   Table table({"field", "value"});
   table.add_row({"failed", run.outcome.failed ? "1" : "0"});
   table.add_row({"failure", run.outcome.failure});
@@ -174,14 +133,6 @@ std::string scenario_report_json(const SelfprofScenario& scenario, std::uint64_t
   table.add_row({"events", std::to_string(run.events)});
   table.add_row({"flows", std::to_string(run.flows)});
   table.add_row({"sim_seconds", strf("%.9f", run.sim_seconds)});
-  if (scenario.partitioned) {
-    table.add_row({"partition.groups", std::to_string(run.partition.partitions)});
-    table.add_row({"partition.windows", std::to_string(run.partition.windows)});
-    table.add_row({"partition.null_windows", std::to_string(run.partition.null_windows)});
-    table.add_row({"partition.cross_events", std::to_string(run.partition.cross_events)});
-    table.add_row({"partition.mailbox_spills", std::to_string(run.partition.mailbox_spills)});
-    table.add_row({"partition.serial_fallback", run.partition.serial_fallback ? "1" : "0"});
-  }
   report.add_table("deterministic outcome", table);
   report.merge_metrics(run.outcome.metrics);
 

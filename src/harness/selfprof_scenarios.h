@@ -1,14 +1,12 @@
 // The selfprof scenario registry, shared between the selfprof bench binary
 // (perf trajectory, BENCH_PR8.json) and the determinism suite.
 //
-// Each scenario is a pure function of (seed, jobs): one repetition builds
-// fresh schedulers and clusters from the seed and returns the folded
-// outcome plus the raw throughput counters.  `jobs` only selects how many
-// worker threads the partitioned scenarios use — the determinism gate runs
-// every scenario at --jobs 1/2/4/8 and byte-diffs the canonical report
-// serialization, so nothing wall-clock-dependent may reach ScenarioRun
-// (PartitionRunStats.barrier_wait_seconds is the one exception; it is
-// excluded from scenario_report_json).
+// Each scenario is a pure function of its seed: one repetition builds a
+// fresh scheduler and cluster from the seed and returns the folded outcome
+// plus the raw throughput counters.  The determinism gate runs every
+// scenario over several seeds through parallel_map at different job counts
+// and byte-diffs the canonical report serialization, so nothing
+// wall-clock-dependent may reach ScenarioRun.
 #pragma once
 
 #include <cstdint>
@@ -16,38 +14,34 @@
 #include <string>
 #include <vector>
 
-#include "harness/partitioned_bench.h"
+#include "harness/experiment.h"
 
 namespace nws::bench {
 
 /// One repetition's deterministic result.
 struct ScenarioRun {
   RunOutcome outcome;
-  std::uint64_t events = 0;  // scheduler events executed (summed over partitions)
+  std::uint64_t events = 0;  // scheduler events executed
   std::uint64_t flows = 0;   // completed network flows
-  double sim_seconds = 0.0;  // final simulated clock (max over partitions)
-  /// Zero-initialised for serial scenarios; the window protocol's counters
-  /// for partitioned ones.
-  sim::PartitionRunStats partition;
+  double sim_seconds = 0.0;  // final simulated clock
 };
+
+/// Repetitions selfprof times per scenario.
+inline constexpr int kScenarioRepetitions = 3;
 
 struct SelfprofScenario {
   std::string name;
-  int repetitions = 3;
-  /// True when the scenario runs under sim::PartitionedScheduler and
-  /// therefore actually consumes `jobs`.
-  bool partitioned = false;
-  std::function<ScenarioRun(std::uint64_t seed, std::size_t jobs)> run;
+  std::function<ScenarioRun(std::uint64_t seed)> run;
 };
 
-/// The fixed scenario set: IOR, the four field scenarios selfprof has
-/// profiled since PR 3, and the two partitioned campaign scenarios added
-/// with the window protocol.  Repetition r of scenario s must be run with
-/// seed `base_seed + r` to reproduce the committed BENCH_*.json figures.
+/// The fixed scenario set: IOR and the four field scenarios selfprof has
+/// profiled since PR 3 (low/high contention, no-index pattern B, chaos
+/// profile).  Repetition r of scenario s must be run with seed
+/// `base_seed + r` to reproduce the committed BENCH_*.json figures.
 std::vector<SelfprofScenario> selfprof_scenarios();
 
 /// Canonical nws-report-v1 serialization of one scenario repetition — the
-/// exact byte string the determinism gate diffs across --jobs values.
+/// exact byte string the determinism gate diffs across job counts.
 /// Deterministic fields only: config, bandwidth/throughput table, folded
 /// metrics.  Never includes wall-clock quantities.
 std::string scenario_report_json(const SelfprofScenario& scenario, std::uint64_t seed,

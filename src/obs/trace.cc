@@ -169,37 +169,4 @@ void TraceRecorder::finish_stream() {
   stream_pids_.clear();
 }
 
-void TraceRecorder::absorb(TraceRecorder& other) {
-  if (other.stream_ != nullptr || other.flushed_ != 0) {
-    throw std::logic_error("absorb of a streaming TraceRecorder");
-  }
-  if (!other.spans_.empty()) {
-    std::deque<SpanRecord> merged;
-    auto a = spans_.begin();
-    auto b = other.spans_.begin();
-    while (a != spans_.end() && b != other.spans_.end()) {
-      // <= keeps this recorder's span first on ties: absorbing partition
-      // recorders in index order gives one canonical merged timeline.
-      if (a->start_ns <= b->start_ns) {
-        merged.push_back(std::move(*a++));
-      } else {
-        merged.push_back(std::move(*b++));
-      }
-    }
-    merged.insert(merged.end(), std::make_move_iterator(a), std::make_move_iterator(spans_.end()));
-    merged.insert(merged.end(), std::make_move_iterator(b),
-                  std::make_move_iterator(other.spans_.end()));
-    spans_ = std::move(merged);
-    other.spans_.clear();
-  }
-  high_water_ = std::max(high_water_, other.high_water_);
-  other.epoch_ns_ = 0;
-  other.high_water_ = 0;
-  // Deliberately no flush here, even when streaming over max_buffered_: a
-  // caller absorbing several partition recorders needs the whole merge
-  // sequence buffered before anything hits the stream, or a later absorb
-  // could carry spans that start before an already-flushed span.  The next
-  // direct record (or finish_stream) drains the closed prefix.
-}
-
 }  // namespace nws::obs

@@ -33,11 +33,9 @@
 //    creation order yields the same ts-sorted artifact the buffered path
 //    produces, and obs_lint's monotonicity check holds.
 //
-// Partitioned runs record into one private TraceRecorder per partition
-// (bound to that partition's scheduler via the explicit ScopedClock
-// constructor, installed per execution slice) and merge them afterwards
-// with absorb() in partition order — a deterministic merge by start time,
-// so the final artifact is bit-identical for any worker count.
+// The recorder is reached through a thread-local pointer, so a traced run
+// executes on the thread that installed it: bench binaries force --jobs 1
+// under --trace (bench_util.h resolve_jobs).
 #pragma once
 
 #include <cstddef>
@@ -106,9 +104,6 @@ class TraceRecorder {
 
   /// Latest epoch-shifted timestamp seen; the next bound run starts here.
   [[nodiscard]] std::uint64_t high_water() const { return high_water_; }
-  /// Raises the epoch floor so the next bound clock starts at or after `ns`.
-  /// Used to align per-partition recorders with the parent timeline.
-  void seed_epoch(std::uint64_t ns) { high_water_ = std::max(high_water_, ns); }
 
   /// Chrome trace_event JSON: process_name metadata per pid plus one
   /// complete ("ph":"X") event per span, sorted by start time.  Timestamps
@@ -128,15 +123,6 @@ class TraceRecorder {
   void finish_stream();
 
   [[nodiscard]] bool streaming() const { return stream_ != nullptr; }
-
-  /// Merges `other`'s spans into this recorder in start-time order (ties
-  /// keep this recorder's spans first, so absorbing partitions in index
-  /// order is deterministic).  `other` is left empty.  Preconditions: no
-  /// outstanding Span/Token handles into either recorder (merging re-indexes
-  /// the buffers) and `other` is not streaming.  Never flushes a streaming
-  /// buffer, so a sequence of absorbs stays merge-complete before anything
-  /// is written; the buffer may exceed max_buffered until the next record.
-  void absorb(TraceRecorder& other);
 
  private:
   friend class ScopedClock;
@@ -181,16 +167,11 @@ class TraceSession {
 /// Binds the thread's recorder (if any) to `sched` for the scope of one
 /// simulation run.  Placed where the run owns a fresh sim::Scheduler
 /// (run_ior_once / run_field_once / the MPI and Lustre runners); a no-op
-/// when tracing is off.  The explicit-recorder constructor binds a specific
-/// recorder instead (per-partition recorders in partitioned runs, which are
-/// not installed thread-locally for the whole run).
+/// when tracing is off.
 class ScopedClock {
  public:
   explicit ScopedClock(sim::Scheduler& sched) : rec_(current_trace()) {
     if (rec_ != nullptr) rec_->bind_clock(&sched);
-  }
-  ScopedClock(TraceRecorder& rec, sim::Scheduler& sched) : rec_(&rec) {
-    rec_->bind_clock(&sched);
   }
   ScopedClock(const ScopedClock&) = delete;
   ScopedClock& operator=(const ScopedClock&) = delete;

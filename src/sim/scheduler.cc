@@ -77,29 +77,6 @@ bool Scheduler::step() {
   return false;
 }
 
-TimePoint Scheduler::next_event_time() {
-  while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    if (ev.timer_slot != kNoTimer &&
-        timers_->slots[ev.timer_slot].generation != ev.timer_generation) {
-      queue_.pop();  // cancelled or recycled: will never fire
-      continue;
-    }
-    return ev.t;
-  }
-  return kNoEventTime;
-}
-
-std::uint64_t Scheduler::run_until(TimePoint horizon) {
-  std::uint64_t executed = 0;
-  for (;;) {
-    const TimePoint t = next_event_time();
-    if (t >= horizon) return executed;  // kNoEventTime is past any horizon
-    step();
-    ++executed;
-  }
-}
-
 void Scheduler::run() {
   while (step()) {
   }

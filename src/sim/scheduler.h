@@ -200,17 +200,6 @@ class Scheduler {
     return Timer{timers_, slot, s.generation};
   }
 
-  /// Overload for already type-erased callbacks (cross-partition mailbox
-  /// delivery): moves straight into the slot, no second erasure layer.
-  Timer schedule_callback(TimePoint t, InlineCallback cb) {
-    if (t < now_) throw std::logic_error("schedule_callback in the past");
-    const std::uint32_t slot = acquire_slot();
-    Timer::Slot& s = timers_->slots[slot];
-    s.callback = std::move(cb);
-    queue_.push(Event{t, next_seq_++, nullptr, slot, s.generation});
-    return Timer{timers_, slot, s.generation};
-  }
-
   /// Awaitable: suspends the current coroutine for `d` simulated time.
   auto delay(Duration d) {
     struct Awaiter {
@@ -233,26 +222,6 @@ class Scheduler {
 
   /// Executes the single next event; returns false if the queue is empty.
   bool step();
-
-  /// Sentinel returned by next_event_time() for an empty queue.
-  static constexpr TimePoint kNoEventTime = INT64_MAX;
-
-  /// Timestamp of the next live event, pruning stale (cancelled/recycled)
-  /// timer entries from the queue head; kNoEventTime when drained.  This is
-  /// the partitioned run loop's window-bound probe.
-  [[nodiscard]] TimePoint next_event_time();
-
-  /// Executes every event with timestamp strictly below `horizon` and
-  /// returns how many ran.  Events at or past the horizon stay queued; the
-  /// clock stops at the last executed event (never advances to the horizon
-  /// itself).  Conservative-window building block: a partition may run to
-  /// min(neighbour clocks) + lookahead without missing a cross-partition
-  /// arrival.
-  std::uint64_t run_until(TimePoint horizon);
-
-  /// First unhandled process exception, if any (run() rethrows it; the
-  /// partitioned driver collects it across partitions instead).
-  [[nodiscard]] std::exception_ptr first_error() const { return first_error_; }
 
   [[nodiscard]] std::size_t live_processes() const { return live_; }
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }

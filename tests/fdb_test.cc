@@ -7,9 +7,9 @@
 
 #include "daos/client.h"
 #include "daos/cluster.h"
+#include "daos/retry.h"
 #include "fdb/field_io.h"
 #include "fdb/field_key.h"
-#include "fdb/retry.h"
 
 namespace nws::fdb {
 namespace {
@@ -378,8 +378,8 @@ TEST(RetrierTest, BackoffNeverExceedsPolicyCap) {
   sim::Scheduler sched;
   daos::Cluster cluster(sched, daos::ClusterConfig{});
   daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
-  const RetryPolicy policy;  // 20 ms cap, 0.5 jitter
-  Retrier retrier(client, policy, 1234);
+  const daos::RetryPolicy policy;  // 20 ms cap, 0.5 jitter
+  daos::Retrier retrier(client, policy, 1234);
   const auto cap = policy.max_backoff;
   sim::Duration longest = 0;
   auto body = [&]() -> sim::Task<void> {

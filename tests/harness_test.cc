@@ -12,6 +12,7 @@
 #include "harness/field_bench.h"
 #include "obs/io_log.h"
 #include "harness/run_pool.h"
+#include "harness/selfprof_scenarios.h"
 #include "ior/ior.h"
 #include "mpibench/mpibench.h"
 #include "obs/trace.h"
@@ -403,6 +404,25 @@ TEST(RunPoolTest, ParallelSweepBitIdenticalToSerial) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[i].read_bw),
               std::bit_cast<std::uint64_t>(parallel[i].read_bw))
         << "seed index " << i;
+  }
+}
+
+TEST(RunPoolTest, SelfprofScenarioReportsBitIdenticalAcrossJobs) {
+  // The --jobs determinism gate over the selfprof registry: every scenario
+  // at seeds 1-4, swept through parallel_map serially and on four workers,
+  // must serialise to the same nws-report-v1 bytes seed for seed.
+  constexpr std::size_t kSeeds = 4;
+  for (const SelfprofScenario& scenario : selfprof_scenarios()) {
+    const auto report = [&](std::size_t i) {
+      const std::uint64_t seed = 1 + i;
+      return scenario_report_json(scenario, seed, scenario.run(seed));
+    };
+    const std::vector<std::string> serial = parallel_map(kSeeds, std::size_t{1}, report);
+    const std::vector<std::string> parallel = parallel_map(kSeeds, std::size_t{4}, report);
+    for (std::size_t i = 0; i < kSeeds; ++i) {
+      EXPECT_NE(serial[i].find("nws-report-v1"), std::string::npos);
+      EXPECT_EQ(parallel[i], serial[i]) << scenario.name << " diverged at seed " << 1 + i;
+    }
   }
 }
 

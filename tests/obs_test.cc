@@ -258,86 +258,7 @@ TEST(TraceStreamingTest, StreamingModeRejectsMisuse) {
   EXPECT_THROW(rec.write_chrome_json(os), std::logic_error);  // one export path at a time
   std::ostringstream other;
   EXPECT_THROW(rec.stream_to(other), std::logic_error);  // already streaming
-  TraceRecorder parent;
-  EXPECT_THROW(parent.absorb(rec), std::logic_error);  // cannot absorb a streaming recorder
   rec.finish_stream();
-}
-
-TEST(TraceStreamingTest, AbsorbMergesPartitionTimelinesInStartOrder) {
-  // Two partition recorders with interleaved span trains, merged into a
-  // parent in partition order: the result is one start-sorted timeline.
-  const auto record_offset = [](TraceRecorder& rec, double offset_ms, std::size_t spans) {
-    sim::Scheduler sched;
-    TraceSession session(rec);
-    ScopedClock clock(rec, sched);
-    auto body = [](sim::Scheduler& s, TraceRecorder& r, double off, std::size_t n) -> sim::Task<void> {
-      co_await s.delay(sim::milliseconds(off));
-      for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecorder::Token t = r.begin("slice", "io", Actor{0, 0});
-        co_await s.delay(sim::milliseconds(2.0));
-        r.end(t);
-      }
-    };
-    sched.spawn(body(sched, rec, offset_ms, spans));
-    sched.run();
-  };
-  TraceRecorder parent;
-  TraceRecorder a;
-  TraceRecorder b;
-  record_offset(a, 0.0, 3);  // spans start at 0, 2, 4 ms
-  record_offset(b, 1.0, 3);  // spans start at 1, 3, 5 ms
-  parent.absorb(a);
-  parent.absorb(b);
-  ASSERT_EQ(parent.span_count(), 6u);
-  EXPECT_EQ(a.span_count(), 0u);
-  EXPECT_EQ(b.span_count(), 0u);
-  std::uint64_t prev = 0;
-  for (const auto& span : parent.spans()) {
-    EXPECT_GE(span.start_ns, prev);
-    prev = span.start_ns;
-  }
-  EXPECT_GE(parent.high_water(), static_cast<std::uint64_t>(sim::milliseconds(7.0)));
-}
-
-TEST(TraceStreamingTest, AbsorbSequenceIntoStreamingParentStaysSorted) {
-  // Regression: absorbing shard recorders one-by-one into a streaming parent
-  // must not flush between absorbs, or shard A's late spans hit the stream
-  // before shard B's earlier ones and the artifact breaks ts monotonicity.
-  const auto record_offset = [](TraceRecorder& rec, double offset_ms, std::size_t spans) {
-    sim::Scheduler sched;
-    TraceSession session(rec);
-    ScopedClock clock(rec, sched);
-    auto body = [](sim::Scheduler& s, TraceRecorder& r, double off, std::size_t n) -> sim::Task<void> {
-      co_await s.delay(sim::milliseconds(off));
-      for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecorder::Token t = r.begin("slice", "io", Actor{0, 0});
-        co_await s.delay(sim::milliseconds(2.0));
-        r.end(t);
-      }
-    };
-    sched.spawn(body(sched, rec, offset_ms, spans));
-    sched.run();
-  };
-  TraceRecorder parent;
-  std::ostringstream os;
-  parent.stream_to(os, 2);  // cap far below shard A's span count
-  TraceRecorder a;
-  TraceRecorder b;
-  record_offset(a, 0.0, 8);  // spans through 16 ms — overflows the cap alone
-  record_offset(b, 1.0, 2);  // spans start at 1, 3 ms — earlier than A's tail
-  parent.absorb(a);
-  parent.absorb(b);
-  parent.finish_stream();
-  const JsonValue doc = parse_json(os.str());
-  std::size_t spans = 0;
-  double prev_ts = -1.0;
-  for (const JsonValue& ev : doc.find("traceEvents")->array) {
-    if (ev.find("ph")->str != "X") continue;
-    ++spans;
-    EXPECT_GE(ev.find("ts")->number, prev_ts);
-    prev_ts = ev.find("ts")->number;
-  }
-  EXPECT_EQ(spans, 10u);
 }
 
 // ---- JSON support -----------------------------------------------------------
