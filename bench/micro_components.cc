@@ -106,6 +106,46 @@ void BM_MaxMinSolver(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinSolver)->Arg(16)->Arg(64)->Arg(256);
 
+void BM_MaxMinSolverLinkBound(benchmark::State& state) {
+  // Link-bound fill shaped like a Fig. 5 field-I/O point: uncapped flows
+  // from 32 client NICs through 8 server NICs to 64 targets of uneven
+  // service rate, so each solve saturates links over several rounds and no
+  // flow cap ever binds.  Staggered sizes make every departure re-solve.
+  const auto n_flows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kClients = 32;
+  constexpr std::size_t kServers = 8;
+  constexpr std::size_t kTargets = 64;
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    net::FlowScheduler flows(sched);
+    flows.set_lazy_recompute(std::numeric_limits<std::size_t>::max(), 1);
+    auto add = [&flows](const std::string& name, double capacity) {
+      net::Link link;
+      link.name = name;
+      link.raw_capacity = capacity;
+      return flows.add_link(std::move(link));
+    };
+    std::vector<net::LinkId> client_tx;
+    std::vector<net::LinkId> server_rx;
+    std::vector<net::LinkId> target_svc;
+    for (std::size_t c = 0; c < kClients; ++c) client_tx.push_back(add("tx" + std::to_string(c), 12.5e9));
+    for (std::size_t s = 0; s < kServers; ++s) server_rx.push_back(add("rx" + std::to_string(s), 25e9));
+    for (std::size_t t = 0; t < kTargets; ++t) {
+      target_svc.push_back(add("svc" + std::to_string(t), 2e9 * (1.0 + 0.1 * static_cast<double>(t % 5))));
+    }
+    for (std::size_t i = 0; i < n_flows; ++i) {
+      const std::size_t target = (i * 13) % kTargets;
+      std::vector<net::LinkId> path{client_tx[i % kClients], server_rx[target % kServers], target_svc[target]};
+      sched.spawn([](net::FlowScheduler& fs, std::vector<net::LinkId> p, double bytes) -> sim::Task<void> {
+        co_await fs.transfer(std::move(p), static_cast<Bytes>(bytes));
+      }(flows, std::move(path), 1e6 + 1e4 * static_cast<double>(i)));
+    }
+    sched.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_MaxMinSolverLinkBound)->Arg(64)->Arg(256);
+
 void BM_PlacementLookup(benchmark::State& state) {
   sim::Scheduler sched;
   daos::ClusterConfig cfg;

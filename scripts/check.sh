@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: plain Release build + tests, then an ASan+UBSan build
-# + tests, then a TSan build running the parallel run-pool and chaos tests.
+# + tests, then a TSan build running the parallel run-pool and chaos tests
+# and the examples.
 # The sanitized pass is what gives the chaos harness teeth — a dangling
 # coroutine frame or a buffer overrun under injected faults fails here even
 # when the plain build happens to pass — and the TSan pass guards the
@@ -124,7 +125,8 @@ if [[ $run_tsan -eq 1 ]]; then
   echo "==> TSan build (build-tsan/, -fsanitize=thread): run pool + chaos sweep"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNWS_SANITIZE=thread
-  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint
+  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint \
+    quickstart nwp_operational_cycle capacity_planning fieldio_cli end_to_end_forecast
   # The pool tests pin their own thread counts; the chaos sweep runs a
   # reduced scenario count (TSan is ~10x slower) across all hardware threads
   # to actually exercise cross-thread stealing.  StatsRaceTest hammers the
@@ -139,6 +141,10 @@ if [[ $run_tsan -eq 1 ]]; then
   # case count keeps the TSan stage within seconds.
   TSAN_OPTIONS=halt_on_error=1 NWS_DFS_COUNT=2 \
     ./build-tsan/tests/dfs_test --gtest_filter='DfsPropertyTest.*:DfsChaosTest.*:PosixFsTest.SharedMetadataLockSerialisesProcesses'
+  # The shipped examples (ctest label `example`; the plain and sanitized
+  # stages run them with the rest of ctest).
+  TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-tsan -L example --output-on-failure -j "$jobs"
   TSAN_OPTIONS=halt_on_error=1 check_artifacts build-tsan
 fi
 

@@ -39,6 +39,7 @@ const KvObject::Version* KvObject::find(const std::string& key, Epoch epoch) con
 }
 
 void KvObject::put(const std::string& key, std::string value, Epoch epoch) {
+  prunable_ = true;
   std::vector<Version>& chain = entries_[key];
   if (!chain.empty()) {
     if (chain.back().epoch > epoch) {
@@ -70,6 +71,7 @@ Status KvObject::remove(const std::string& key, Epoch epoch) {
   if (chain.back().epoch > epoch) {
     throw std::logic_error("KvObject::remove at a stale epoch");
   }
+  prunable_ = true;
   if (chain.back().epoch == epoch) {
     chain.back().tombstone = true;
     chain.back().value.clear();
@@ -107,6 +109,8 @@ std::size_t KvObject::version_count(const std::string& key) const {
 }
 
 void KvObject::prune(Epoch floor) {
+  if (!prunable_) return;
+  prunable_ = false;
   for (auto it = entries_.begin(); it != entries_.end();) {
     std::vector<Version>& chain = it->second;
     // Keep the newest version at or below the floor as the base; everything
@@ -124,6 +128,7 @@ void KvObject::prune(Epoch floor) {
       }
       chain.erase(chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(base));
     }
+    if (chain.size() > 1 || (chain.size() == 1 && chain.front().tombstone)) prunable_ = true;
     it = chain.empty() ? entries_.erase(it) : std::next(it);
   }
 }

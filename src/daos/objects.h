@@ -151,6 +151,10 @@ class KvObject {
   [[nodiscard]] const Version* find(const std::string& key, Epoch epoch) const;
 
   std::map<std::string, std::vector<Version>> entries_;
+  // False only when every key holds one live (non-tombstone) version, which
+  // prune() would leave as it is: a container's aggregation then skips
+  // this object's keys.
+  bool prunable_ = false;
   std::size_t active_readers_ = 0;
   std::size_t active_writers_ = 0;
   sim::TimePoint last_update_ = -1;

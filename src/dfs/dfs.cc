@@ -170,12 +170,9 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
     config_.chunk_size = parsed.value();
   } else if (magic.status().code() == Errc::not_found) {
     // Format.  All values are pure functions of (name, config), so racing
-    // formatters write identical state; the conditional insert of the magic
-    // still gives exactly one mount the "formatter" role.
-    const std::string magic_value = kDfsMagic;
-    const Status fmt = co_await retrier_.run(
-        [&] { return client_.kv_put_if_absent(super, k_magic, magic_value); });
-    if (!fmt.is_ok() && fmt.code() != Errc::already_exists) co_return fmt;
+    // formatters write identical state.  The magic is the commit marker and
+    // goes in last, so a mount that sees it finds the whole superblock (with
+    // the magic first, a racing mount could read a dir_class not yet written).
     const Status put_chunk = co_await retrier_.run(
         [&] { return client_.kv_put(super, k_chunk, std::to_string(config_.chunk_size)); });
     if (!put_chunk.is_ok()) co_return put_chunk;
@@ -185,6 +182,11 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
     const Status put_root = co_await retrier_.run(
         [&] { return client_.kv_put(super, k_root, serialize_entry({EntryType::directory, root_oid_, 0})); });
     if (!put_root.is_ok()) co_return put_root;
+    // The conditional insert gives exactly one mount the "formatter" role.
+    const std::string magic_value = kDfsMagic;
+    const Status fmt = co_await retrier_.run(
+        [&] { return client_.kv_put_if_absent(super, k_magic, magic_value); });
+    if (!fmt.is_ok() && fmt.code() != Errc::already_exists) co_return fmt;
   } else {
     co_return magic.status();
   }

@@ -19,7 +19,8 @@ LinkId FlowScheduler::add_link(Link link) {
   link_flow_count_.push_back(0);
   residual_.push_back(0.0);
   unfrozen_on_link_.push_back(0);
-  link_mark_.push_back(0);
+  link_begin_.push_back(0);
+  active_pos_.push_back(0);
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -36,7 +37,12 @@ void FlowScheduler::start_flow(std::vector<LinkId> path, double bytes, double ra
   flow.cap = rate_cap;
   flow.waiter = h;
   flows_.push_back(std::move(flow));
-  for (const LinkId id : flows_.back().path) ++link_flow_count_[id];
+  for (const LinkId id : flows_.back().path) {
+    if (link_flow_count_[id]++ == 0) {
+      active_pos_[id] = active_links_.size();
+      active_links_.push_back(id);
+    }
+  }
   if (obs::TraceRecorder* tr = obs::current_trace()) {
     // Flow lifetimes render on a synthetic "network" process; a rotating
     // lane keeps concurrent flows on separate rows in the viewer.
@@ -127,80 +133,105 @@ void FlowScheduler::recompute_rates() {
   const std::size_t n_flows = flows_.size();
   if (n_flows == 0) return;
 
-  // Effective capacities given current flow counts per link (maintained by
-  // start_flow/settle).  Only links actually carrying flows participate (the
-  // cluster registers hundreds of links; an op touches a handful).  The mark
-  // stamp dedupes active links without per-solve clearing, and the scratch
+  // Link->flow incidence over the active links (start_flow/settle keep that
+  // set on link_flow_count_ 0<->1 transitions), as CSR: link l's flows are
+  // incidence_[link_begin_[l] .. + link_flow_count_[l]).  A flow crossing a
+  // link twice is listed twice, as it is counted twice.  The fill cursor is
+  // unfrozen_on_link_, which so ends equal to link_flow_count_.  The scratch
   // vectors are members so a steady-state solve performs no allocation.
-  active_links_.clear();
-  const std::uint64_t stamp = ++solve_stamp_;
-  for (const Flow& f : flows_) {
-    for (const LinkId id : f.path) {
-      if (link_mark_[id] != stamp) {
-        link_mark_[id] = stamp;
-        active_links_.push_back(id);
-      }
-    }
-  }
+  std::size_t n_incidences = 0;
   for (const LinkId l : active_links_) {
+    link_begin_[l] = n_incidences;
+    n_incidences += link_flow_count_[l];
     residual_[l] = links_[l].effective_capacity(link_flow_count_[l]);
-    unfrozen_on_link_[l] = link_flow_count_[l];
+    unfrozen_on_link_[l] = 0;
   }
+  incidence_.resize(n_incidences);
+  double cap_floor = std::numeric_limits<double>::infinity();  // <= every unfrozen cap
+  for (std::size_t i = 0; i < n_flows; ++i) {
+    for (const LinkId l : flows_[i].path) incidence_[link_begin_[l] + unfrozen_on_link_[l]++] = i;
+    cap_floor = std::min(cap_floor, flows_[i].cap);
+  }
+  live_links_.assign(active_links_.begin(), active_links_.end());
+  frozen_.assign(n_flows, 0);
 
   // Progressive filling: raise every unfrozen flow's rate uniformly until a
   // link saturates or a flow hits its own cap; freeze and repeat.
-  frozen_.assign(n_flows, 0);
   std::size_t n_frozen = 0;
   double level = 0.0;
-  while (n_frozen < n_flows) {
-    // Smallest increment that saturates some constraint.
-    double delta = std::numeric_limits<double>::infinity();
-    for (const LinkId l : active_links_) {
-      if (unfrozen_on_link_[l] > 0) {
-        delta = std::min(delta, residual_[l] / static_cast<double>(unfrozen_on_link_[l]));
-      }
-    }
+  const auto freeze = [&](std::size_t i) {
+    frozen_[i] = 1;
+    ++n_frozen;
+    flows_[i].rate = level;
+    for (const LinkId id : flows_[i].path) --unfrozen_on_link_[id];
+  };
+  // Finite caps of the flows unfrozen so far, ascending, built only once the
+  // cap floor could decide a round: link-bound solves never sort.
+  bool caps_sorted = false;
+  std::size_t next_cap = 0;  // by_cap_[..next_cap) are all frozen
+  const auto sort_caps = [&] {
+    by_cap_.clear();
     for (std::size_t i = 0; i < n_flows; ++i) {
-      if (!frozen_[i]) delta = std::min(delta, flows_[i].cap - level);
+      if (!frozen_[i] && std::isfinite(flows_[i].cap)) by_cap_.push_back(i);
+    }
+    std::sort(by_cap_.begin(), by_cap_.end(),
+              [this](std::size_t a, std::size_t b) { return flows_[a].cap < flows_[b].cap; });
+    caps_sorted = true;
+  };
+
+  while (n_frozen < n_flows) {
+    // Smallest increment that saturates some link; links left without
+    // unfrozen flows drop out of the live list here.
+    double delta = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (const LinkId l : live_links_) {
+      if (unfrozen_on_link_[l] == 0) continue;
+      live_links_[kept++] = l;
+      delta = std::min(delta, residual_[l] / static_cast<double>(unfrozen_on_link_[l]));
+    }
+    live_links_.resize(kept);
+    // ... or that brings a flow to its cap.  Rounding is monotone, so
+    // min_i(cap_i - level) == min_i(cap_i) - level bit for bit.
+    if (!caps_sorted && cap_floor - level < delta) sort_caps();
+    if (caps_sorted) {
+      while (next_cap < by_cap_.size() && frozen_[by_cap_[next_cap]]) ++next_cap;
+      if (next_cap < by_cap_.size()) delta = std::min(delta, flows_[by_cap_[next_cap]].cap - level);
     }
     if (!std::isfinite(delta)) throw std::logic_error("max-min fill diverged (uncapped flow on no links?)");
     if (delta < 0.0) delta = 0.0;
 
+    // Links not live carry no unfrozen flow, so they would subtract zero,
+    // and no later round reads them.  Saturation is decided on residuals
+    // alone, which freezing does not change, so it is found before any
+    // freezing and freezes exactly the flows on the saturated links.
     level += delta;
-    for (const LinkId l : active_links_) {
+    saturated_.clear();
+    for (const LinkId l : live_links_) {
       residual_[l] -= delta * static_cast<double>(unfrozen_on_link_[l]);
+      if (residual_[l] <= kRateEpsilon * links_[l].raw_capacity) saturated_.push_back(l);
     }
-
-    // Freeze flows that hit their cap or sit on a saturated link.
-    bool any_frozen_this_round = false;
-    for (std::size_t i = 0; i < n_flows; ++i) {
-      if (frozen_[i]) continue;
-      bool saturated = flows_[i].cap - level <= kRateEpsilon;
-      if (!saturated) {
-        for (const LinkId id : flows_[i].path) {
-          if (residual_[id] <= kRateEpsilon * links_[id].raw_capacity) {
-            saturated = true;
-            break;
-          }
-        }
-      }
-      if (saturated) {
-        frozen_[i] = 1;
-        ++n_frozen;
-        any_frozen_this_round = true;
-        flows_[i].rate = level;
-        for (const LinkId id : flows_[i].path) --unfrozen_on_link_[id];
+    const std::size_t frozen_before = n_frozen;
+    for (const LinkId l : saturated_) {
+      const std::size_t begin = link_begin_[l];
+      for (std::size_t k = begin; k < begin + link_flow_count_[l]; ++k) {
+        if (!frozen_[incidence_[k]]) freeze(incidence_[k]);
       }
     }
-    if (!any_frozen_this_round) {
+    // Flows at their cap: a prefix of the unfrozen ones in cap order.
+    if (!caps_sorted && cap_floor - level <= kRateEpsilon) sort_caps();
+    if (caps_sorted) {
+      for (; next_cap < by_cap_.size(); ++next_cap) {
+        const std::size_t i = by_cap_[next_cap];
+        if (frozen_[i]) continue;
+        if (flows_[i].cap - level > kRateEpsilon) break;
+        freeze(i);
+      }
+    }
+    if (n_frozen == frozen_before) {
       // Numerical corner: nothing saturated exactly; freeze everything at
       // the current level to guarantee termination.
       for (std::size_t i = 0; i < n_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++n_frozen;
-          flows_[i].rate = level;
-        }
+        if (!frozen_[i]) freeze(i);
       }
     }
   }
@@ -223,7 +254,15 @@ void FlowScheduler::settle(std::size_t added_idx) {
   for (std::size_t i = 0; i < flows_.size();) {
     if (flows_[i].remaining <= kCompletionEpsilon) {
       for (const LinkId id : flows_[i].path) {
-        if (--link_flow_count_[id] > 0) shared_departure = true;
+        if (--link_flow_count_[id] > 0) {
+          shared_departure = true;
+        } else {
+          // Swap-remove from the active set; its order affects no result.
+          const LinkId moved = active_links_.back();
+          active_links_[active_pos_[id]] = moved;
+          active_pos_[moved] = active_pos_[id];
+          active_links_.pop_back();
+        }
       }
       const auto waiter = flows_[i].waiter;
       if (flows_[i].span != 0) {

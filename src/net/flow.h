@@ -15,6 +15,19 @@
 // simulated process is then resumed.  This is the classic flow-level network
 // simulation approach: accurate steady-state sharing without per-packet
 // cost.
+//
+// The fill is driven by link->flow incidence.  Each solve lists the flows of
+// every active link once (CSR); each round then touches only the links that
+// still carry unfrozen flows, and a link that saturates freezes exactly the
+// flows listed on it.  Flow caps enter through a lower bound on the unfrozen
+// caps and, once that bound could decide a round, through the caps in
+// ascending order.  A round costs O(live links + flows frozen in it), not
+// O(flows x path).  The rates are bit-identical to a plain round-by-round
+// fill that re-scans every unfrozen flow's path: saturation depends only on
+// link residuals, which freezing leaves unchanged; links without unfrozen
+// flows only ever subtract zero; and since rounding is monotone,
+// min_i(cap_i - level) equals min_i(cap_i) - level exactly.  Every
+// floating-point operation that sets a rate is the same as in that fill.
 #pragma once
 
 #include <coroutine>
@@ -132,7 +145,8 @@ class FlowScheduler {
   void start_flow(std::vector<LinkId> path, double bytes, double rate_cap, std::coroutine_handle<> h);
   /// Applies progress for the elapsed interval since the last update.
   void advance_progress();
-  /// Recomputes all flow rates (progressive-filling max-min).
+  /// Recomputes all flow rates (progressive-filling max-min, driven by
+  /// link->flow incidence; see the file comment for cost and exactness).
   void recompute_rates();
   /// Rate update after the active set changed: exact solve (with disjoint
   /// fast paths) below the lazy threshold, bounded-staleness above it.
@@ -156,15 +170,19 @@ class FlowScheduler {
   sim::TimePoint last_update_ = 0;
   sim::Timer completion_timer_;
   FlowStats stats_;
-  // Solver scratch, persistent so steady-state recomputes do not allocate.
-  // link_mark_ carries the stamp of the last solve that saw the link active,
-  // so active-link dedup needs no per-solve clearing.
+  // Links with link_flow_count_ > 0, in no particular order; active_pos_[l]
+  // is l's index in it (valid while l is active), for O(1) removal.
   std::vector<LinkId> active_links_;
+  std::vector<std::size_t> active_pos_;
+  // Solver scratch, persistent so steady-state recomputes do not allocate.
   std::vector<double> residual_;
   std::vector<std::size_t> unfrozen_on_link_;
+  std::vector<std::size_t> link_begin_;  // link's first entry in incidence_
+  std::vector<std::size_t> incidence_;   // flow indices grouped by link (CSR)
+  std::vector<LinkId> live_links_;       // active links with unfrozen flows
+  std::vector<LinkId> saturated_;
+  std::vector<std::size_t> by_cap_;      // finite-cap flows, ascending cap
   std::vector<char> frozen_;
-  std::vector<std::uint64_t> link_mark_;
-  std::uint64_t solve_stamp_ = 0;
   std::size_t lazy_threshold_ = 224;
   std::size_t lazy_interval_ = 12;
   std::size_t changes_since_full_ = 0;

@@ -242,6 +242,39 @@ TEST(DfsMountTest, ConcurrentMountsCollideOnOneNamespace) {
   });
 }
 
+TEST(DfsMountTest, ManyConcurrentMountsOfAFreshNameAllSucceed) {
+  // Every process on several client nodes mounts one unformatted name at the
+  // same instant: each either formats or finds a complete superblock.
+  constexpr std::uint32_t kNodes = 4;
+  constexpr std::uint32_t kPpn = 8;
+  daos::ClusterConfig cfg = test_config();
+  cfg.server_nodes = 2;
+  cfg.client_nodes = kNodes;
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, cfg);
+  std::uint32_t mounted = 0;
+  std::vector<std::string> failures;
+  auto proc = [](daos::Cluster& cl, std::uint32_t node, std::uint32_t rank, std::uint32_t* ok,
+                 std::vector<std::string>* failed) -> sim::Task<void> {
+    daos::Client client(cl, cl.client_endpoint(node, rank % kPpn), rank);
+    Dfs fs(client, {}, rank + 1);
+    const Status st = co_await fs.mount("fresh");
+    if (st.is_ok()) {
+      ++*ok;
+    } else {
+      failed->push_back(st.to_string());
+    }
+  };
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    for (std::uint32_t p = 0; p < kPpn; ++p) {
+      sched.spawn(proc(cluster, node, node * kPpn + p, &mounted, &failures));
+    }
+  }
+  sched.run();
+  EXPECT_EQ(mounted, kNodes * kPpn);
+  EXPECT_TRUE(failures.empty()) << failures.front();
+}
+
 // ---- operation semantics ----------------------------------------------------
 
 TEST(DfsOpsTest, MkdirCreateWriteReadRoundTrip) {

@@ -283,6 +283,29 @@ TEST(EpochContainerTest, RetentionZeroRecyclesInPlace) {
   EXPECT_EQ(cont.epoch_stats().cow_bytes, 0u);
 }
 
+TEST(EpochContainerTest, AggregationStillDropsARemoveAfterSkippingACleanKv) {
+  // Aggregation skips a KV whose keys each hold one live version; a later
+  // remove must still be aggregated away with the version it hid.
+  sim::Scheduler sched;
+  Container cont(sched, daos::Uuid{1, 5}, false, 4, 1);
+  daos::KvObject& kv = cont.kv(ObjectId::generate(1, 1, ObjectType::key_value, ObjectClass::SX));
+  kv.put("k", "v", cont.write_epoch());
+  kv.put("j", "v", cont.write_epoch());
+  for (Epoch e = 1; e <= 3; ++e) EXPECT_EQ(cont.commit(), e);
+  EXPECT_EQ(cont.epoch_stats().versions_pruned, 0u);
+  EXPECT_TRUE(kv.remove("k", cont.write_epoch()).is_ok());
+  for (Epoch e = 4; e <= 6; ++e) EXPECT_EQ(cont.commit(), e);
+  EXPECT_EQ(kv.version_count("k"), 0u);
+  EXPECT_EQ(kv.version_count("j"), 1u);
+  EXPECT_EQ(cont.epoch_stats().versions_pruned, 2u);
+  // A lone tombstone above the floor survives one pass and goes in the next.
+  kv.put("x", "v", cont.write_epoch());
+  EXPECT_TRUE(kv.remove("x", cont.write_epoch()).is_ok());
+  for (Epoch e = 7; e <= 8; ++e) EXPECT_EQ(cont.commit(), e);
+  EXPECT_EQ(kv.version_count("x"), 0u);
+  EXPECT_EQ(cont.epoch_stats().versions_pruned, 3u);
+}
+
 TEST(EpochContainerTest, OpenSnapshotHoldsTheAggregationFloor) {
   sim::Scheduler sched;
   Container cont(sched, daos::Uuid{1, 4}, false, 4, 1);

@@ -265,7 +265,7 @@ TEST(FieldBenchTest, SingleClientNodePatternBSplitsProcesses) {
 }
 
 TEST(ExperimentTest, RepeatCollectsAllRepetitions) {
-  int calls = 0;
+  std::atomic<int> calls{0};  // repetitions may run on several pool threads
   const RepetitionSummary summary = repeat(4, 1, [&](std::uint64_t seed) {
     ++calls;
     RunOutcome out;

@@ -1,9 +1,12 @@
 // Unit and property tests for the flow-level network model.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/flow.h"
 #include "net/provider.h"
 #include "net/topology.h"
@@ -256,6 +259,129 @@ TEST(FlowSchedulerTest, EfficiencyCurveReducesAggregate) {
   EXPECT_EQ(a, sim::seconds(10.0));  // two streams at 20.5 B/s each
   EXPECT_EQ(b, sim::seconds(10.0));
 }
+
+// Reference max-min fill: every round re-scans every unfrozen flow and its
+// whole path (the solver before its incidence-driven rewrite).  The solver
+// must reproduce these rates bit for bit.  1e-6 is the solver's saturation
+// head-room (kRateEpsilon in flow.cc).
+std::vector<double> reference_fill(const std::vector<Link>& links,
+                                   const std::vector<std::vector<LinkId>>& paths,
+                                   const std::vector<double>& caps) {
+  const std::size_t n = paths.size();
+  std::vector<std::size_t> unfrozen(links.size(), 0);
+  for (const auto& path : paths) {
+    for (const LinkId l : path) ++unfrozen[l];
+  }
+  std::vector<double> residual(links.size());
+  for (std::size_t l = 0; l < links.size(); ++l) residual[l] = links[l].effective_capacity(unfrozen[l]);
+  std::vector<double> rate(n, 0.0);
+  std::vector<char> frozen(n, 0);
+  std::size_t n_frozen = 0;
+  double level = 0.0;
+  while (n_frozen < n) {
+    double delta = kInf;
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      if (unfrozen[l] > 0) delta = std::min(delta, residual[l] / static_cast<double>(unfrozen[l]));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!frozen[i]) delta = std::min(delta, caps[i] - level);
+    }
+    if (delta < 0.0) delta = 0.0;
+    level += delta;
+    for (std::size_t l = 0; l < links.size(); ++l) residual[l] -= delta * static_cast<double>(unfrozen[l]);
+    const std::size_t frozen_before = n_frozen;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (frozen[i]) continue;
+      bool saturated = caps[i] - level <= 1e-6;
+      for (const LinkId l : paths[i]) saturated = saturated || residual[l] <= 1e-6 * links[l].raw_capacity;
+      if (!saturated) continue;
+      frozen[i] = 1;
+      ++n_frozen;
+      rate[i] = level;
+      for (const LinkId l : paths[i]) --unfrozen[l];
+    }
+    if (n_frozen == frozen_before) {  // numerical corner: the rest freeze at this level
+      for (std::size_t i = 0; i < n; ++i) rate[i] = frozen[i] ? rate[i] : level;
+      break;
+    }
+  }
+  return rate;
+}
+
+sim::Task<void> hold_transfer(FlowScheduler& fs, std::vector<LinkId> path, double bytes, double cap) {
+  co_await fs.transfer(std::move(path), static_cast<nws::Bytes>(bytes), cap);
+}
+
+// Bit-exactness property: random instances (1-4 link paths with repeated
+// links, efficiency curves, finite and infinite caps, an outage on some)
+// solved by the scheduler and by reference_fill must agree in every bit.
+// Link-bound instances keep every cap slack; cap-bound ones draw caps below
+// the links' fair shares, so most flows freeze at their caps.
+void expect_fill_matches_reference(bool cap_bound) {
+  std::size_t cap_frozen = 0;
+  std::size_t link_frozen = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(seed * 2 + (cap_bound ? 1 : 0));
+    Fixture fx;
+    std::vector<Link> links;
+    const std::size_t n_links = 1 + rng.next_below(12);
+    for (std::size_t l = 0; l < n_links; ++l) {
+      Link link = plain_link("l" + std::to_string(l), rng.uniform(1e8, 1e10));
+      if (rng.next_below(3) == 0) {
+        const double c = link.raw_capacity;
+        link.efficiency = EfficiencyCurve({{1, 0.3 * c}, {4, rng.uniform(0.6, 0.9) * c}, {16, 1.2 * c}});
+      }
+      links.push_back(link);
+      fx.flows.add_link(std::move(link));
+    }
+    const std::size_t n_flows = 1 + rng.next_below(40);
+    std::vector<std::vector<LinkId>> paths(n_flows);
+    std::vector<double> caps(n_flows);
+    for (std::size_t i = 0; i < n_flows; ++i) {
+      const std::size_t hops = 1 + rng.next_below(4);
+      for (std::size_t h = 0; h < hops; ++h) paths[i].push_back(static_cast<LinkId>(rng.next_below(n_links)));
+      if (i == 0) paths[i].push_back(paths[i].front());  // a link crossed twice
+      if (cap_bound) {
+        caps[i] = rng.next_below(5) == 0 ? kInf : rng.uniform(1e6, 2e8);
+      } else {
+        caps[i] = rng.next_below(2) == 0 ? kInf : 1e12;
+      }
+      fx.sched.spawn(hold_transfer(fx.flows, paths[i], 1e10, caps[i]));
+    }
+    while (fx.flows.active_flows() < n_flows) ASSERT_TRUE(fx.sched.step());
+
+    // Setting a capacity factor forces one full solve over every flow.
+    const auto touched = static_cast<LinkId>(rng.next_below(n_links));
+    const bool outage = rng.next_below(4) == 0;
+    links[touched].capacity_factor = outage ? 0.0 : 1.0;
+    fx.flows.set_capacity_factor(touched, links[touched].capacity_factor);
+    const std::vector<double> want = reference_fill(links, paths, caps);
+    const std::vector<double> got = fx.flows.current_rates();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < n_flows; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+          << "seed " << seed << " flow " << i << ": " << got[i] << " vs reference " << want[i];
+      if (caps[i] - want[i] <= 1e-6) {
+        ++cap_frozen;
+      } else {
+        ++link_frozen;
+      }
+    }
+    fx.flows.set_capacity_factor(touched, 1.0);  // end any outage, then drain
+    fx.sched.run();
+    EXPECT_EQ(fx.flows.active_flows(), 0u);
+  }
+  // Each regime really exercised what it claims to.
+  if (cap_bound) {
+    EXPECT_GT(cap_frozen, link_frozen);
+  } else {
+    EXPECT_EQ(cap_frozen, 0u);
+  }
+}
+
+TEST(MaxMinFillTest, LinkBoundMatchesReferenceBitForBit) { expect_fill_matches_reference(false); }
+
+TEST(MaxMinFillTest, CapBoundMatchesReferenceBitForBit) { expect_fill_matches_reference(true); }
 
 // Property sweep: N equal flows through one link must each get capacity/N
 // (conservation + fairness), regardless of N.
