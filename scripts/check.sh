@@ -8,7 +8,8 @@
 # work-stealing sweep engine (src/harness/run_pool) against data races.
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
-# schema regression in the observability layer fails CI, not Perfetto.
+# schema regression in the observability layer fails CI, not Perfetto.  The
+# plain pass also runs perfbench's self-test (python3 stdlib only).
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
 # -DNWS_COVERAGE=ON, reruns the test suite and enforces the per-directory
@@ -109,6 +110,8 @@ if [[ $run_plain -eq 1 ]]; then
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DNWS_WERROR=ON
   cmake --build build -j "$jobs"
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
+  echo "==> perfbench self-test (gprof layer bucketing)"
+  python3 perfbench/test_layers.py
   check_artifacts build
 fi
 

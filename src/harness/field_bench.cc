@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <string_view>
 
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -38,22 +37,67 @@ struct Shared {
   }
 };
 
-/// Flushes one process's layer counters into the run totals when its
-/// coroutine frame winds down — every exit path included (early co_return
-/// on a peer's failure, init exceptions after the client exists).
-struct StatsFlush {
-  Shared& shared;
-  fdb::FieldIo& io;
-  daos::Client& client;
-  ~StatsFlush() {
+/// One benchmark process's client stack, built at the top of its coroutine:
+/// a Client on (node, proc) seeded by `client_salt`, a FieldIo namespaced by
+/// `io_rank`, and the trace actor.  Flushes the process's layer counters into
+/// the run totals when the coroutine frame winds down — every exit path
+/// included (early co_return on a peer's failure, init exceptions).
+struct Process {
+  Process(daos::Cluster& cluster, const FieldBenchParams& params, Shared& run_totals,
+          std::uint32_t node, std::uint32_t proc, std::uint32_t client_salt,
+          std::uint32_t io_rank, obs::Actor trace_actor)
+      : shared(run_totals),
+        client(cluster, cluster.client_endpoint(node, proc), client_salt),
+        io(client, io_config(params), io_rank),
+        actor(trace_actor) {
+    client.set_trace_actor(actor);
+  }
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
+  ~Process() {
     shared.field_stats += io.stats();
     shared.client_stats += client.stats();
   }
+
+  static fdb::FieldIoConfig io_config(const FieldBenchParams& params) {
+    fdb::FieldIoConfig cfg;
+    cfg.mode = params.mode;
+    cfg.kv_class = params.kv_class;
+    cfg.array_class = params.array_class;
+    return cfg;
+  }
+
+  Shared& shared;
+  daos::Client client;
+  fdb::FieldIo io;
+  obs::Actor actor;
 };
 
 sim::Duration startup_skew(daos::Cluster& cluster, std::uint64_t salt) {
   Rng rng = cluster.fork_rng(0xbadc0ffeull ^ salt);
   return sim::seconds(rng.uniform(0.0, cluster.model().startup_skew_max_seconds));
+}
+
+/// The payload generator: feeds `visit(offset, word, len)` the payload words
+/// of (canonical key, size) in order — word i covers bytes [8i, 8i + 8), the
+/// last one truncated to the `len` bytes left — and stops at the first false.
+/// make_field_payload writes these words and field_payload_matches compares
+/// against them, so written and expected bytes cannot drift.
+template <typename Visit>
+bool visit_payload_words(const std::string& key_canonical, Bytes size, Visit visit) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the canonical key
+  for (const char c : key_canonical) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+  Rng rng(mix64(h ^ size));
+  const auto n = static_cast<std::size_t>(size);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (!visit(i, rng.next_u64(), std::size_t{8})) return false;
+  }
+  return i == n || visit(i, rng.next_u64(), n - i);
+}
+
+std::string versioned_key(const std::string& key_canonical, std::uint64_t version) {
+  return key_canonical + "#v" + std::to_string(version);
 }
 
 }  // namespace
@@ -74,25 +118,25 @@ fdb::FieldKey bench_field_key(const FieldBenchParams& params, std::uint32_t glob
 }
 
 std::vector<std::uint8_t> make_field_payload(const std::string& key_canonical, Bytes size) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the canonical key
-  for (const char c : key_canonical) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
-  Rng rng(mix64(h ^ size));
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(size));
-  std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
-    const std::uint64_t word = rng.next_u64();
-    std::memcpy(&payload[i], &word, 8);
-  }
-  if (i < payload.size()) {
-    const std::uint64_t word = rng.next_u64();
-    std::memcpy(&payload[i], &word, payload.size() - i);
-  }
+  visit_payload_words(key_canonical, size,
+                      [&](std::size_t offset, std::uint64_t word, std::size_t len) {
+                        std::memcpy(&payload[offset], &word, len);
+                        return true;
+                      });
   return payload;
+}
+
+bool field_payload_matches(const std::uint8_t* got, Bytes n, const std::string& key_canonical) {
+  return visit_payload_words(key_canonical, n,
+                             [got](std::size_t offset, std::uint64_t word, std::size_t len) {
+                               return std::memcmp(got + offset, &word, len) == 0;
+                             });
 }
 
 std::vector<std::uint8_t> make_versioned_payload(const std::string& key_canonical, Bytes size,
                                                  std::uint64_t version) {
-  auto payload = make_field_payload(key_canonical + "#v" + std::to_string(version), size);
+  auto payload = make_field_payload(versioned_key(key_canonical, version), size);
   if (payload.size() >= 8) std::memcpy(payload.data(), &version, 8);
   return payload;
 }
@@ -103,21 +147,16 @@ std::int64_t versioned_payload_version(const std::uint8_t* got, Bytes n,
   std::uint64_t version = 0;
   std::memcpy(&version, got, 8);
   if (version > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) return -1;
-  const auto expected = make_versioned_payload(key_canonical, n, version);
-  if (std::memcmp(got, expected.data(), static_cast<std::size_t>(n)) != 0) return -1;
-  return static_cast<std::int64_t>(version);
+  // Word 0 is the header just parsed; the body must be that version's.
+  const bool body_matches = visit_payload_words(
+      versioned_key(key_canonical, version), n,
+      [got](std::size_t offset, std::uint64_t word, std::size_t len) {
+        return offset == 0 || std::memcmp(got + offset, &word, len) == 0;
+      });
+  return body_matches ? static_cast<std::int64_t>(version) : -1;
 }
 
 namespace {
-
-/// Verifies a read-back field against the regenerated expected payload.
-/// Compared byte-for-byte: strictly stronger than digest equality, and it
-/// keeps hashing cost out of the harness (the real MD5 checks the paper's
-/// clients perform are I/O-side work, not simulator work).
-bool payload_matches(const std::vector<std::uint8_t>& got, Bytes n, const std::string& key_canonical) {
-  const auto expected = make_field_payload(key_canonical, n);
-  return std::memcmp(got.data(), expected.data(), static_cast<std::size_t>(n)) == 0;
-}
 
 void require_verifiable(const daos::Cluster& cluster, const FieldBenchParams& params) {
   if (params.verify_payload && cluster.config().payload_mode != daos::PayloadMode::full) {
@@ -136,17 +175,10 @@ void require_verifiable(const daos::Cluster& cluster, const FieldBenchParams& pa
 sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x10000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, 0x10000u + global_rank, global_rank,
+               {node, global_rank});
   co_await cluster.scheduler().delay(startup_skew(cluster, global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   std::vector<std::uint8_t> payload;
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
@@ -156,17 +188,17 @@ sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams 
       payload = make_field_payload(key.canonical(), params.field_size);
       data = payload.data();
     }
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("write failed: " + st.to_string());
       break;
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
   shared.writers_done.count_down();
 }
@@ -174,67 +206,53 @@ sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams 
 sim::Task<void> pattern_a_reader(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x20000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, 0x8000u + global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, 0x20000u + global_rank, 0x8000u + global_rank,
+               {node, global_rank});
   // Second phase begins only "once all writer processes on all nodes have
   // terminated".
   co_await shared.read_gate.wait();
   co_await cluster.scheduler().delay(startup_skew(cluster, 0x9000u + global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   std::vector<std::uint8_t> buf;
   if (params.verify_payload) buf.resize(static_cast<std::size_t>(params.field_size));
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
     const fdb::FieldKey key = bench_field_key(params, global_rank, op, /*designated=*/false);
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    auto n = co_await io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
+    auto n =
+        co_await self.io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
     if (!n.is_ok() || n.value() != params.field_size) {
       shared.fail("read failed: " + (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (params.verify_payload && !payload_matches(buf, n.value(), key.canonical())) {
-      shared.fail("payload MD5 mismatch: " + key.canonical());
+    if (params.verify_payload &&
+        !field_payload_matches(buf.data(), n.value(), key.canonical())) {
+      shared.fail("payload mismatch: " + key.canonical());
       break;
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
   shared.readers_done.count_down();
 }
 
-sim::Task<void> pattern_a_conductor(Shared& shared) {
+/// Opens the read gate once every writer has counted down: pattern A's
+/// second phase, pattern B's main phase.
+sim::Task<void> conductor(Shared& shared) {
   co_await shared.writers_done.wait();
   shared.read_gate.open();
 }
 
-}  // namespace
-
-namespace {
-
 sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x30000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, 0x30000u + global_rank, global_rank,
+               {node, global_rank});
   co_await cluster.scheduler().delay(startup_skew(cluster, 0xa000u + global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   const fdb::FieldKey key = bench_field_key(params, global_rank, 0, /*designated=*/true);
   std::vector<std::uint8_t> payload;
@@ -254,11 +272,11 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
   // Setup phase: populate the designated field once (and, in snapshot-read
   // runs, publish it — readers then always find a committed epoch to pin).
   {
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("setup write failed: " + st.to_string());
     } else if (params.snapshot_reads) {
-      auto committed = co_await io.commit(key);
+      auto committed = co_await self.io.commit(key);
       if (!committed.is_ok()) shared.fail("setup commit failed: " + committed.status().to_string());
     }
     shared.writers_done.count_down();
@@ -268,15 +286,15 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
   if (shared.failed) co_return;
 
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
     if (params.snapshot_reads) {
       payload = make_versioned_payload(key.canonical(), params.field_size, op + 1);
       data = payload.data();
     }
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("re-write failed: " + st.to_string());
       break;
@@ -284,33 +302,26 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
     if (params.snapshot_reads) {
       // Publish the new version; the op's latency includes the commit — the
       // write-amplification/latency trade fig_snapshot_rw measures.
-      auto committed = co_await io.commit(key);
+      auto committed = co_await self.io.commit(key);
       if (!committed.is_ok()) {
         shared.fail("commit failed: " + committed.status().to_string());
         break;
       }
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
 }
 
 sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t writer_rank, std::uint32_t reader_index) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x40000u + reader_index);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, 0xC000u + reader_index);
-  const obs::Actor actor{node, reader_index};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, 0x40000u + reader_index, 0xC000u + reader_index,
+               {node, reader_index});
   co_await shared.read_gate.wait();
   if (shared.failed) co_return;
   co_await cluster.scheduler().delay(startup_skew(cluster, 0xb000u + reader_index));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   // Reads the field designated to the paired writer.
   const fdb::FieldKey key = bench_field_key(params, writer_rank, 0, /*designated=*/true);
@@ -329,16 +340,16 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
     std::vector<std::uint8_t> second(static_cast<std::size_t>(params.field_size));
     bool fallback_mode = false;
     for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-      client.set_trace_iteration(op);
-      obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-      const std::uint64_t retries_before = io.stats().retries;
+      self.client.set_trace_iteration(op);
+      obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+      const std::uint64_t retries_before = self.io.stats().retries;
       const sim::TimePoint start = cluster.scheduler().now();
       bool done = false;
       while (!done && !shared.failed) {
         if (fallback_mode) {
           // Retention 0 disables snapshots: live read, still asserting the
           // payload is one complete version (writes are never torn).
-          auto n = co_await io.read(key, first.data(), params.field_size);
+          auto n = co_await self.io.read(key, first.data(), params.field_size);
           if (!n.is_ok() || n.value() != params.field_size) {
             shared.fail("read failed: " +
                         (n.is_ok() ? std::string("short read") : n.status().to_string()));
@@ -352,7 +363,7 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
           done = true;
           continue;
         }
-        auto pinned = co_await io.pin_snapshot(key);
+        auto pinned = co_await self.io.pin_snapshot(key);
         if (!pinned.is_ok()) {
           if (pinned.status().code() == Errc::unsupported) {
             fallback_mode = true;
@@ -361,9 +372,9 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
           shared.fail("pin_snapshot failed: " + pinned.status().to_string());
           break;
         }
-        auto n = co_await io.read(key, first.data(), params.field_size);
+        auto n = co_await self.io.read(key, first.data(), params.field_size);
         if (!n.is_ok() || n.value() != params.field_size) {
-          (co_await io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
+          (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
           if (!n.is_ok() && n.status().code() == Errc::not_found) {
             ++shared.snapshot_pin_retries;
             continue;
@@ -372,8 +383,8 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
                       (n.is_ok() ? std::string("short read") : n.status().to_string()));
           break;
         }
-        auto n2 = co_await io.read(key, second.data(), params.field_size);
-        (co_await io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
+        auto n2 = co_await self.io.read(key, second.data(), params.field_size);
+        (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
         if (!n2.is_ok() || n2.value() != params.field_size ||
             std::memcmp(first.data(), second.data(), first.size()) != 0) {
           shared.fail("snapshot instability: re-read under the pinned epoch differed: " +
@@ -389,33 +400,30 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
       }
       if (!done) break;
       log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-                 static_cast<std::uint32_t>(io.stats().retries - retries_before));
+                 static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
     }
     co_return;
   }
 
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    auto n = co_await io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
+    auto n =
+        co_await self.io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
     if (!n.is_ok() || n.value() != params.field_size) {
       shared.fail("read failed: " + (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (params.verify_payload && !payload_matches(buf, n.value(), key.canonical())) {
-      shared.fail("payload MD5 mismatch: " + key.canonical());
+    if (params.verify_payload &&
+        !field_payload_matches(buf.data(), n.value(), key.canonical())) {
+      shared.fail("payload mismatch: " + key.canonical());
       break;
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
-}
-
-sim::Task<void> pattern_b_conductor(Shared& shared) {
-  co_await shared.writers_done.wait();
-  shared.read_gate.open();
 }
 
 }  // namespace
@@ -459,7 +467,7 @@ struct FieldPatternRun::Impl {
             pattern_a_reader(cluster, params, shared, result.read_log, n, p, rank));
       }
     }
-    cluster.scheduler().spawn(pattern_a_conductor(shared));
+    cluster.scheduler().spawn(conductor(shared));
   }
 
   void spawn_b() {
@@ -493,7 +501,7 @@ struct FieldPatternRun::Impl {
         ++reader_index;
       }
     }
-    cluster.scheduler().spawn(pattern_b_conductor(shared));
+    cluster.scheduler().spawn(conductor(shared));
   }
 };
 

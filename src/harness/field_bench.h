@@ -43,9 +43,10 @@ struct FieldBenchParams {
   std::size_t processes_per_node = 24;
   daos::ObjectClass kv_class = daos::ObjectClass::SX;
   daos::ObjectClass array_class = daos::ObjectClass::S1;
-  /// Write deterministic per-key payloads and verify every read's MD5
-  /// against the expected bytes (chaos/property testing).  Requires the
-  /// cluster to run with PayloadMode::full.
+  /// Write deterministic per-key payloads and compare every read byte for
+  /// byte against the regenerated payload (field_payload_matches;
+  /// chaos/property testing).  Requires the cluster to run with
+  /// PayloadMode::full.
   bool verify_payload = false;
   /// Pattern B only: writers publish every re-write with FieldIo::commit()
   /// (payloads are versioned — make_versioned_payload) and readers pin the
@@ -122,9 +123,14 @@ fdb::FieldKey bench_field_key(const FieldBenchParams& params, std::uint32_t glob
                               std::uint32_t op, bool designated);
 
 /// Deterministic field payload for verify_payload runs: bytes are a pure
-/// function of (canonical key, size), so any reader can regenerate the
-/// expected content and compare MD5s.
+/// function of (canonical key, size), so any reader can check its read-back
+/// bytes with field_payload_matches.
 std::vector<std::uint8_t> make_field_payload(const std::string& key_canonical, Bytes size);
+
+/// True when the `n` bytes at `got` are exactly make_field_payload(key, n).
+/// Streams the comparison against the payload generator word by word, so it
+/// allocates nothing and stops at the first differing word.
+bool field_payload_matches(const std::uint8_t* got, Bytes n, const std::string& key_canonical);
 
 /// Versioned payload for snapshot_reads runs: the first 8 bytes hold
 /// `version` little-endian, the rest is a pure function of (canonical key,

@@ -52,7 +52,8 @@ class RunPool {
  private:
   /// Jobs popped per queue lock: short repetitions (milliseconds) amortise
   /// dispatch overhead over a batch instead of paying mutex + condvar
-  /// bookkeeping per job — the BENCH_PR3 sweep.speedup < 1 regression.
+  /// bookkeeping per job, which once made a parallel sweep slower than a
+  /// serial one (speedup 0.89).
   static constexpr std::size_t kBatch = 8;
 
   struct WorkerQueue {

@@ -10,9 +10,8 @@
 // heap allocations: scheduling a callback costs no allocation in the steady
 // state (slots are recycled through a free list, callables live in a
 // small-buffer store, and Timer handles validate their slot through a
-// generation counter).  This is the simulator's hottest allocation site —
-// every flow settle/completion arms a timer — so the pool is what the
-// selfprof events/sec figure mostly measures.
+// generation counter).  Without the pool this would be the simulator's
+// hottest allocation site: every flow settle/completion arms a timer.
 #pragma once
 
 #include <coroutine>

@@ -4,15 +4,18 @@
 
 #include <atomic>
 #include <bit>
+#include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 
+#include "common/rng.h"
+#include "fault/fault_plan.h"
 #include "harness/experiment.h"
 #include "harness/field_bench.h"
 #include "obs/io_log.h"
 #include "harness/run_pool.h"
-#include "harness/selfprof_scenarios.h"
 #include "ior/ior.h"
 #include "mpibench/mpibench.h"
 #include "obs/trace.h"
@@ -164,6 +167,38 @@ TEST(FieldBenchTest, KeysEncodeContention) {
   // Designated keys are stable across ops (pattern B re-writes).
   EXPECT_EQ(bench_field_key(high, 3, 0, true).canonical(),
             bench_field_key(high, 3, 9, true).canonical());
+}
+
+TEST(FieldBenchTest, PayloadCheckCatchesAFlippedByteAnywhere) {
+  // 69 bytes: eight whole payload words and a 5-byte trailing partial word.
+  const std::string key = "class=od,step=7";
+  constexpr Bytes kSize = 69;
+  std::vector<std::uint8_t> payload = make_field_payload(key, kSize);
+  ASSERT_EQ(payload.size(), kSize);
+  EXPECT_TRUE(field_payload_matches(payload.data(), kSize, key));
+  EXPECT_FALSE(field_payload_matches(payload.data(), kSize, key + "x"));
+  // Offset 0, a middle word, and the trailing partial word.
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{35}, std::size_t{67}}) {
+    payload[offset] ^= 0x01;
+    EXPECT_FALSE(field_payload_matches(payload.data(), kSize, key)) << "offset " << offset;
+    payload[offset] ^= 0x01;
+  }
+  EXPECT_TRUE(field_payload_matches(payload.data(), kSize, key));
+}
+
+TEST(FieldBenchTest, VersionedPayloadRejectsAHeaderOverAnotherVersionsBody) {
+  const std::string key = "class=od,step=0";
+  constexpr Bytes kSize = 69;
+  const std::vector<std::uint8_t> v3 = make_versioned_payload(key, kSize, 3);
+  std::vector<std::uint8_t> v4 = make_versioned_payload(key, kSize, 4);
+  EXPECT_EQ(versioned_payload_version(v3.data(), kSize, key), 3);
+  EXPECT_EQ(versioned_payload_version(v4.data(), kSize, key), 4);
+  std::vector<std::uint8_t> torn = v3;
+  torn[kSize - 1] ^= 0x80;
+  EXPECT_EQ(versioned_payload_version(torn.data(), kSize, key), -1);
+  std::memcpy(v4.data(), v3.data(), 8);  // a version-3 header over the version-4 body
+  EXPECT_EQ(versioned_payload_version(v4.data(), kSize, key), -1);
+  EXPECT_EQ(versioned_payload_version(v3.data(), 7, key), -1);  // shorter than the header
 }
 
 class FieldPatternModes : public ::testing::TestWithParam<fdb::Mode> {};
@@ -382,48 +417,84 @@ TEST(RunPoolTest, NormalizeAndDefaultJobs) {
   set_default_jobs(saved);
 }
 
-TEST(RunPoolTest, ParallelSweepBitIdenticalToSerial) {
-  // The PR's core determinism claim: a real simulation sweep — fresh
-  // scheduler + cluster per seed — folded at --jobs 1 and --jobs 8 yields
-  // bit-identical per-seed RunOutcomes, not merely close ones.
-  const auto run_one = [](std::size_t i) {
-    FieldBenchParams params;
-    params.ops_per_process = 3;
-    params.processes_per_node = 4;
-    return run_field_once(testbed_config(1, 1), params, i % 2 == 0 ? 'A' : 'B',
-                          1000 + 37 * static_cast<std::uint64_t>(i));
-  };
-  const std::vector<RunOutcome> serial = parallel_map(std::size_t{12}, std::size_t{1}, run_one);
-  const std::vector<RunOutcome> parallel = parallel_map(std::size_t{12}, std::size_t{8}, run_one);
+// The --jobs determinism gate: real simulation runs through the production
+// drivers — fresh scheduler + cluster per run — swept at --jobs 1 and
+// --jobs 4 must yield bit-identical RunOutcomes, not merely close ones.
+void expect_bit_identical_across_jobs(const std::vector<std::function<RunOutcome()>>& runs) {
+  const auto run = [&](std::size_t i) { return runs[i](); };
+  const std::vector<RunOutcome> serial = parallel_map(runs.size(), std::size_t{1}, run);
+  const std::vector<RunOutcome> parallel = parallel_map(runs.size(), std::size_t{4}, run);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].failed, parallel[i].failed) << "seed index " << i;
+    EXPECT_FALSE(serial[i].failed) << "run " << i << ": " << serial[i].failure;
+    EXPECT_EQ(serial[i].failed, parallel[i].failed) << "run " << i;
+    EXPECT_EQ(serial[i].failure, parallel[i].failure) << "run " << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[i].write_bw),
               std::bit_cast<std::uint64_t>(parallel[i].write_bw))
-        << "seed index " << i;
+        << "run " << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[i].read_bw),
               std::bit_cast<std::uint64_t>(parallel[i].read_bw))
-        << "seed index " << i;
+        << "run " << i;
+    EXPECT_TRUE(serial[i].metrics == parallel[i].metrics) << "run " << i;
   }
 }
 
-TEST(RunPoolTest, SelfprofScenarioReportsBitIdenticalAcrossJobs) {
-  // The --jobs determinism gate over the selfprof registry: every scenario
-  // at seeds 1-4, swept through parallel_map serially and on four workers,
-  // must serialise to the same nws-report-v1 bytes seed for seed.
-  constexpr std::size_t kSeeds = 4;
-  for (const SelfprofScenario& scenario : selfprof_scenarios()) {
-    const auto report = [&](std::size_t i) {
-      const std::uint64_t seed = 1 + i;
-      return scenario_report_json(scenario, seed, scenario.run(seed));
-    };
-    const std::vector<std::string> serial = parallel_map(kSeeds, std::size_t{1}, report);
-    const std::vector<std::string> parallel = parallel_map(kSeeds, std::size_t{4}, report);
-    for (std::size_t i = 0; i < kSeeds; ++i) {
-      EXPECT_NE(serial[i].find("nws-report-v1"), std::string::npos);
-      EXPECT_EQ(parallel[i], serial[i]) << scenario.name << " diverged at seed " << 1 + i;
-    }
+TEST(RunPoolTest, ParallelSweepBitIdenticalToSerial) {
+  // Twelve small field I/O sweeps, alternating patterns A and B.
+  std::vector<std::function<RunOutcome()>> runs;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    runs.emplace_back([i] {
+      FieldBenchParams params;
+      params.ops_per_process = 3;
+      params.processes_per_node = 4;
+      return run_field_once(testbed_config(1, 1), params, i % 2 == 0 ? 'A' : 'B', 1000 + 37 * i);
+    });
   }
+  expect_bit_identical_across_jobs(runs);
+}
+
+TEST(RunPoolTest, SelfprofScenarioReportsBitIdenticalAcrossJobs) {
+  // Larger shapes at seeds 1-4: IOR, field I/O under low and high index
+  // contention, no-index pattern B, and the chaos profile (full payloads,
+  // injected faults, every read verified).
+  const auto field_params = [](fdb::Mode mode, bool shared) {
+    FieldBenchParams params;
+    params.mode = mode;
+    params.shared_forecast_index = shared;
+    params.ops_per_process = 20;
+    params.processes_per_node = 16;
+    return params;
+  };
+  std::vector<std::function<RunOutcome()>> runs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    runs.emplace_back([seed] {
+      ior::IorParams params;
+      params.segments = 50;
+      params.processes_per_node = 24;
+      return run_ior_once(testbed_config(2, 4), params, seed);
+    });
+    runs.emplace_back([=] {
+      return run_field_once(testbed_config(1, 2), field_params(fdb::Mode::full, false), 'A', seed);
+    });
+    runs.emplace_back([=] {
+      return run_field_once(testbed_config(1, 2), field_params(fdb::Mode::full, true), 'A', seed);
+    });
+    runs.emplace_back([=] {
+      return run_field_once(testbed_config(1, 2), field_params(fdb::Mode::no_index, true), 'B',
+                            seed);
+    });
+    runs.emplace_back([seed] {
+      daos::ClusterConfig cfg = testbed_config(1, 2);
+      cfg.payload_mode = daos::PayloadMode::full;
+      cfg.fault_spec = fault::FaultSpec::default_chaos(mix64(seed ^ 0xfa017ull));
+      FieldBenchParams params;
+      params.ops_per_process = 10;
+      params.processes_per_node = 8;
+      params.verify_payload = true;
+      return run_field_once(cfg, params, 'A', seed);
+    });
+  }
+  expect_bit_identical_across_jobs(runs);
 }
 
 TEST(ExperimentTest, RepeatAndBestOverPpnIdenticalAtAnyJobCount) {
