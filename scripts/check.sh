@@ -5,7 +5,8 @@
 # The sanitized pass is what gives the chaos harness teeth — a dangling
 # coroutine frame or a buffer overrun under injected faults fails here even
 # when the plain build happens to pass — and the TSan pass guards the
-# work-stealing sweep engine (src/harness/run_pool) against data races.
+# parallel sweep engine (parallel_map in src/harness/run_pool.h: threads
+# claiming job indices from a shared counter) against data races.
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
 # schema regression in the observability layer fails CI, not Perfetto.  The
@@ -130,9 +131,10 @@ if [[ $run_tsan -eq 1 ]]; then
         -DNWS_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint \
     quickstart nwp_operational_cycle capacity_planning fieldio_cli end_to_end_forecast
-  # The pool tests pin their own thread counts; the chaos sweep runs a
+  # The RunPoolTest cases pin their own thread counts; the chaos sweep runs a
   # reduced scenario count (TSan is ~10x slower) across all hardware threads
-  # to actually exercise cross-thread stealing.  StatsRaceTest hammers the
+  # so several threads really race on the shared job counter and the
+  # index-ordered result and exception slots.  StatsRaceTest hammers the
   # Summary order-statistic cache from 8 const readers — the regression test
   # for the lazily-built sorted_ cache being written under const.
   TSAN_OPTIONS=halt_on_error=1 \

@@ -8,7 +8,7 @@
 // sorted-order cache is only ever written by the non-const seal() (or add(),
 // which invalidates it); a const reader that finds the cache stale sorts a
 // local copy instead of mutating shared state.  Folding code that builds a
-// Summary once and then shares it across run_pool workers should seal() it
+// Summary once and then shares it across parallel_map threads should seal() it
 // after the last add() so readers hit the cached path.
 #pragma once
 

@@ -228,6 +228,10 @@ class ArrayObject {
   /// Adds retained version count / logical bytes to the live-state gauges.
   void count_live(std::uint64_t& versions, Bytes& bytes) const;
 
+  /// Array data operations on one object are mutually exclusive: re-writing
+  /// an array while another process reads it serialises at the object level
+  /// ("in no index mode, the same degree of contention occurs at the Array
+  /// level", Section 5.3).
   sim::Mutex& object_lock() { return object_lock_; }
 
   /// SCM allocations charged to this array (region index, allocation id) —

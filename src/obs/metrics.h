@@ -8,7 +8,7 @@
 // numbers share, so reports and tests consume a single interface instead of
 // four struct shapes.
 //
-// Determinism: snapshots fold per repetition in job-index order (run_pool
+// Determinism: snapshots fold per repetition in job-index order (parallel_map
 // already returns results ordered by index).  Counters add, gauges take the
 // max, histograms append their samples in fold order — so the folded
 // snapshot is bit-identical at any --jobs count.

@@ -638,5 +638,44 @@ TEST(DeterminismTest, RepeatedRunsBitIdentical) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// ---- array destruction -----------------------------------------------------
+
+/// A digest-mode cluster driven by one client process.
+struct Fixture {
+  sim::Scheduler sched;
+  std::unique_ptr<Cluster> cluster;
+
+  Fixture() {
+    ClusterConfig cfg = small_config();
+    cfg.payload_mode = PayloadMode::digest;
+    cluster = std::make_unique<Cluster>(sched, cfg);
+  }
+
+  template <typename Body>
+  void run(Body body) {
+    run_client(*cluster, std::move(body));
+  }
+};
+
+ObjectId array_oid(std::uint64_t i) {
+  return ObjectId::generate(5, i, ObjectType::array, ObjectClass::S1);
+}
+
+TEST(ArrayDestroyTest, ReleasesCapacity) {
+  Fixture fx;
+  fx.run([&fx](Client& c) -> sim::Task<void> {
+    ContHandle cont = co_await c.main_cont_open();
+    auto arr = (co_await c.array_create(cont, array_oid(50), 1, 1_MiB)).value();
+    (co_await c.array_write(arr, 0, nullptr, 4_MiB)).expect_ok("write");
+    EXPECT_EQ(fx.cluster->pool_used(), 4_MiB);
+    co_await c.array_close(arr);
+
+    (co_await c.array_destroy(cont, array_oid(50))).expect_ok("destroy");
+    EXPECT_EQ(fx.cluster->pool_used(), 0u);
+    EXPECT_EQ((co_await c.array_open(cont, array_oid(50))).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await c.array_destroy(cont, array_oid(50))).code(), Errc::not_found);
+  });
+}
+
 }  // namespace
 }  // namespace nws::daos

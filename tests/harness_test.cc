@@ -2,11 +2,14 @@
 // patterns and the experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -371,19 +374,57 @@ TEST(RunPoolTest, ParallelMapReturnsResultsInIndexOrder) {
 TEST(RunPoolTest, EveryJobRunsExactlyOnce) {
   constexpr std::size_t kJobs = 257;  // not a multiple of the worker count
   std::vector<std::atomic<int>> hits(kJobs);
-  RunPool pool(8);
-  EXPECT_EQ(pool.threads(), 8u);
-  pool.run(kJobs, [&](std::size_t i) { hits[i].fetch_add(1); });
+  std::mutex threads_mutex;
+  std::set<std::thread::id> threads;
+  parallel_map(kJobs, std::size_t{8}, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    const std::lock_guard<std::mutex> lock(threads_mutex);
+    threads.insert(std::this_thread::get_id());
+    return i;
+  });
   for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+  // 8 workers, capped at the real core count.
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), std::min<std::size_t>(8, hardware_jobs()));
 }
 
 TEST(RunPoolTest, PoolIsReusableAcrossSweeps) {
-  RunPool pool(4);
   std::atomic<std::size_t> total{0};
-  for (int sweep = 0; sweep < 5; ++sweep) {
-    pool.run(40, [&](std::size_t i) { total.fetch_add(i); });
+  for (std::size_t sweep = 1; sweep <= 5; ++sweep) {
+    parallel_map(std::size_t{40}, std::size_t{4}, [&](std::size_t i) { return total.fetch_add(i); });
+    EXPECT_EQ(total.load(), sweep * (39u * 40u / 2u)) << "after sweep " << sweep;
   }
   EXPECT_EQ(total.load(), 5u * (39u * 40u / 2u));
+}
+
+TEST(RunPoolTest, EmptySweepAndMoreJobsThanIndices) {
+  std::atomic<int> calls{0};
+  const auto none = parallel_map(std::size_t{0}, std::size_t{8}, [&](std::size_t i) {
+    calls.fetch_add(1);
+    return i;
+  });
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(calls.load(), 0);
+
+  // More workers requested than there are jobs: each job still runs exactly
+  // once, and a single job runs inline on the calling thread.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::vector<std::thread::id> ran_on(n);
+    const std::vector<std::size_t> out = parallel_map(n, std::size_t{64}, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      ran_on[i] = std::this_thread::get_id();
+      return i + 1;
+    });
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << n << " jobs, job " << i;
+      EXPECT_EQ(out[i], i + 1) << n << " jobs, job " << i;
+    }
+    if (n == 1) {
+      EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    }
+  }
 }
 
 TEST(RunPoolTest, LowestIndexedExceptionWinsAndSweepStillDrains) {
