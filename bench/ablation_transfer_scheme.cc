@@ -22,56 +22,59 @@ int main(int argc, char** argv) {
   cli.add_flag("segments", "50", "data parts per process");
   cli.add_flag("ppn", "1,4,12,48", "processes-per-node sweep (low = latency-bound)");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "ablation_transfer_scheme");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> servers;
-  for (const auto v : cli.get_int_list("servers")) servers.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> servers = bench::size_list(cli, "servers");
   if (quick) servers = {1};
 
-  std::vector<std::size_t> ppns;
-  for (const auto v : cli.get_int_list("ppn")) ppns.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> ppns = bench::size_list(cli, "ppn");
   if (quick) ppns = {1, 12};
 
   Table table({"server nodes", "ppn", "scheme", "write (GiB/s)", "read (GiB/s)", "vs single-shot"});
 
-  for (const std::size_t s : servers) {
-    for (const std::size_t ppn : ppns) {
-      double reference_write = 0.0;
-      double reference_read = 0.0;
-      for (const ior::TransferScheme scheme :
-           {ior::TransferScheme::single_shot, ior::TransferScheme::per_segment}) {
+  // One cell per (server nodes, ppn, scheme), in row order; both schemes of
+  // a (server nodes, ppn) pair share its seeds.
+  const std::size_t n_ppn = ppns.size();
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(servers.size() * n_ppn * 2, reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const std::size_t s = servers[cell / (2 * n_ppn)];
+        const std::size_t ppn = ppns[cell / 2 % n_ppn];
         ior::IorParams params;
-        params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
-        if (quick) params.segments = 10;
+        params.segments = quick ? 10 : static_cast<std::uint32_t>(cli.get_int("segments"));
         params.processes_per_node = ppn;
-        params.scheme = scheme;
-        const bench::RepetitionSummary summary =
-            bench::repeat(reps, seed + s * 57 + ppn, [&](std::uint64_t rs) {
-              return bench::run_ior_once(bench::testbed_config(s, 2 * s), params, rs);
-            });
-        obs.merge_metrics(summary.metrics);
-        if (summary.write.empty()) {
-          table.add_row({std::to_string(s), std::to_string(ppn), "failed", summary.failure});
-          continue;
-        }
-        const double w = summary.write.mean();
-        const double r = summary.read.mean();
-        const bool is_reference = scheme == ior::TransferScheme::single_shot;
-        if (is_reference) {
-          reference_write = w;
-          reference_read = r;
-        }
-        table.add_row({std::to_string(s), std::to_string(ppn),
-                       is_reference ? "single-shot (paper)" : "per-segment (non-optimised)",
-                       strf("%.1f", w), strf("%.1f", r),
-                       is_reference ? "1.00"
-                                    : strf("%.2fw / %.2fr", w / reference_write, r / reference_read)});
-      }
+        params.scheme = cell % 2 == 0 ? ior::TransferScheme::single_shot
+                                      : ior::TransferScheme::per_segment;
+        return bench::run_ior_once(bench::testbed_config(s, 2 * s), params,
+                                   bench::repetition_seed(seed + s * 57 + ppn, rep));
+      });
+
+  double reference_write = 0.0;  // single-shot row of the current (server nodes, ppn)
+  double reference_read = 0.0;
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const std::string s = std::to_string(servers[cell / (2 * n_ppn)]);
+    const std::string ppn = std::to_string(ppns[cell / 2 % n_ppn]);
+    const bool is_reference = cell % 2 == 0;
+    if (is_reference) reference_write = reference_read = 0.0;
+    const bench::RepetitionSummary& summary = cells[cell];
+    obs.merge_metrics(summary.metrics);
+    if (summary.write.empty()) {
+      table.add_row({s, ppn, "failed", summary.failure});
+      continue;
     }
+    const double w = summary.write.mean();
+    const double r = summary.read.mean();
+    if (is_reference) {
+      reference_write = w;
+      reference_read = r;
+    }
+    table.add_row({s, ppn, is_reference ? "single-shot (paper)" : "per-segment (non-optimised)",
+                   strf("%.1f", w), strf("%.1f", r),
+                   is_reference ? "1.00"
+                                : strf("%.2fw / %.2fr", w / reference_write, r / reference_read)});
   }
 
   std::cout << "paper 5.1: single-shot approximates the storage's ideal throughput; per-part\n"

@@ -176,7 +176,6 @@ int main(int argc, char** argv) {
   cli.add_flag("clients", "15", "Lustre client nodes");
   cli.add_flag("ppn", "40", "processes per client node");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "baseline_lustre");
 
   const bool quick = cli.get_bool("quick");

@@ -1,13 +1,11 @@
 // Shared helpers for the table/figure bench binaries.
 #pragma once
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "common/cli.h"
 #include "common/table.h"
@@ -29,18 +27,22 @@ inline void add_common_flags(Cli& cli) {
   cli.add_flag("report", "", "write a machine-readable run-report JSON (nws-report-v1)");
 }
 
-/// Resolves --jobs/-j (0 -> hardware_concurrency) and installs it as the
-/// process default, so every repeat()/best_over_ppn() sweep in the binary
-/// runs on the pool.  Results are bit-identical at any job count.
+/// A comma-separated count-list flag (--servers, --ppn, ...).
+inline std::vector<std::size_t> size_list(const Cli& cli, const std::string& name) {
+  std::vector<std::size_t> out;
+  for (const auto v : cli.get_int_list(name)) out.push_back(static_cast<std::size_t>(v));
+  return out;
+}
+
+/// Resolves --jobs/-j (0 -> hardware_concurrency): the thread count the
+/// bench passes to run_grid().  Results are bit-identical at any job count.
 ///
 /// --trace forces 1: spans reach the recorder through a thread-local
 /// pointer, so traced repetitions must run inline on the main thread (where
 /// the ScopedClock epoch shift chains them onto one timeline).
-inline std::size_t resolve_jobs(const Cli& cli) {
-  std::size_t jobs = normalize_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
-  if (!cli.get("trace").empty()) jobs = 1;
-  set_default_jobs(jobs);
-  return jobs;
+[[nodiscard]] inline std::size_t resolve_jobs(const Cli& cli) {
+  if (!cli.get("trace").empty()) return 1;
+  return normalize_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
 }
 
 /// Per-binary driver for the --trace/--report artifacts.  Construct right
@@ -107,7 +109,9 @@ class BenchObs {
   obs::RunReport report_;
 };
 
-inline void emit(const Table& table, const std::string& title, const Cli& cli) {
+/// Prints `table` under `title`, writes it to --csv if set, and records it
+/// on the bench's run report.
+inline void emit(const Table& table, const std::string& title, const Cli& cli, BenchObs& obs) {
   std::cout << "\n== " << title << " ==\n";
   table.print(std::cout);
   const std::string csv = cli.get("csv");
@@ -116,11 +120,6 @@ inline void emit(const Table& table, const std::string& title, const Cli& cli) {
     std::cout << "(CSV written to " << csv << ")\n";
   }
   std::cout.flush();
-}
-
-/// emit() plus recording the table on the bench's run report.
-inline void emit(const Table& table, const std::string& title, const Cli& cli, BenchObs& obs) {
-  emit(table, title, cli);
   obs.add_table(title, table);
 }
 

@@ -21,16 +21,14 @@ int main(int argc, char** argv) {
   cli.add_flag("ppn", "24,48,96", "processes-per-node candidates");
   cli.add_flag("segments", "100", "IOR segment count (-s)");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig3_ior_scaling");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> servers;
-  for (const auto v : cli.get_int_list("servers")) servers.push_back(static_cast<std::size_t>(v));
-  std::vector<std::size_t> ppn_candidates;
-  for (const auto v : cli.get_int_list("ppn")) ppn_candidates.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> servers = bench::size_list(cli, "servers");
+  std::vector<std::size_t> ppn_candidates = bench::size_list(cli, "ppn");
   if (quick) {
     servers = {1, 2, 4};
     ppn_candidates = {24, 48};
@@ -39,30 +37,43 @@ int main(int argc, char** argv) {
   Table table({"server nodes", "client nodes", "best ppn", "write (GiB/s)", "read (GiB/s)",
                "write/engine", "read/engine"});
 
+  std::vector<std::pair<std::size_t, std::size_t>> rows;  // (server, client) nodes
   for (const std::size_t s : servers) {
-    std::vector<std::size_t> client_counts{s, 2 * s};
-    if (s <= 2 && !quick) client_counts.push_back(4 * s);
-    for (const std::size_t c : client_counts) {
-      const bench::BestOfPpn best = bench::best_over_ppn(
-          ppn_candidates, reps, seed + s * 131 + c,
-          [&](std::size_t ppn, std::uint64_t rep_seed) {
-            daos::ClusterConfig cfg = bench::testbed_config(s, c);
-            ior::IorParams params;
-            params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
-            params.processes_per_node = ppn;
-            return bench::run_ior_once(cfg, params, rep_seed);
-          });
-      obs.merge_metrics(best.summary.metrics);
-      if (best.summary.write.empty()) {
-        table.add_row({std::to_string(s), std::to_string(c), "-", "failed", best.summary.failure});
-        continue;
-      }
-      const double w = best.summary.write.mean();
-      const double r = best.summary.read.mean();
-      const auto engines = static_cast<double>(2 * s);
-      table.add_row({std::to_string(s), std::to_string(c), std::to_string(best.ppn), strf("%.1f", w),
-                     strf("%.1f", r), strf("%.2f", w / engines), strf("%.2f", r / engines)});
+    rows.emplace_back(s, s);
+    rows.emplace_back(s, 2 * s);
+    if (s <= 2 && !quick) rows.emplace_back(s, 4 * s);
+  }
+  // One cell per (row, ppn candidate); each row reports its best candidate.
+  const std::size_t n_ppn = ppn_candidates.size();
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(rows.size() * n_ppn, reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const auto [s, c] = rows[cell / n_ppn];
+        const std::size_t ppn = ppn_candidates[cell % n_ppn];
+        ior::IorParams params;
+        params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
+        params.processes_per_node = ppn;
+        const std::uint64_t candidate_seed = (seed + s * 131 + c) ^ (0x51ed2700ull * ppn);
+        return bench::run_ior_once(bench::testbed_config(s, c), params,
+                                   bench::repetition_seed(candidate_seed, rep));
+      });
+
+  const bench::RepetitionSummary none;  // stands in when every candidate failed
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    const auto [s, c] = rows[row];
+    const auto candidates = std::span(cells).subspan(row * n_ppn, n_ppn);
+    const std::optional<std::size_t> best = bench::best_cell(candidates);
+    const bench::RepetitionSummary& summary = best ? candidates[*best] : none;
+    obs.merge_metrics(summary.metrics);
+    if (summary.write.empty()) {
+      table.add_row({std::to_string(s), std::to_string(c), "-", "failed", summary.failure});
+      continue;
     }
+    const double w = summary.write.mean();
+    const double r = summary.read.mean();
+    const auto engines = static_cast<double>(2 * s);
+    table.add_row({std::to_string(s), std::to_string(c), std::to_string(ppn_candidates[*best]),
+                   strf("%.1f", w), strf("%.1f", r), strf("%.2f", w / engines),
+                   strf("%.2f", r / engines)});
   }
 
   std::cout << "paper: write ~2.5 GiB/s/engine; read ~3.75 GiB/s/engine (5 at a single node);\n"

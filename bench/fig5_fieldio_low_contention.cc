@@ -25,50 +25,53 @@ int main(int argc, char** argv) {
   cli.add_flag("ppn", "32", "processes per client node");
   cli.add_flag("emulate-issues", "true", "emulate the >8-server container creation issue");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig5_fieldio_low_contention");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> servers;
-  for (const auto v : cli.get_int_list("servers")) servers.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> servers = bench::size_list(cli, "servers");
   if (quick) servers = {1, 2};
 
   Table table({"pattern", "mode", "server nodes", "write (GiB/s)", "read (GiB/s)",
                "aggregated/engine", "note"});
 
+  std::vector<std::tuple<char, fdb::Mode, std::size_t>> grid;  // (pattern, mode, servers) by row
   for (const char pattern : {'A', 'B'}) {
     for (const fdb::Mode mode : {fdb::Mode::full, fdb::Mode::no_containers, fdb::Mode::no_index}) {
-      for (const std::size_t s : servers) {
-        const std::size_t clients = 2 * s;
+      for (const std::size_t s : servers) grid.emplace_back(pattern, mode, s);
+    }
+  }
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(grid.size(), reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const auto [pattern, mode, s] = grid[cell];
         bench::FieldBenchParams params;
         params.mode = mode;
         params.shared_forecast_index = false;  // low contention
         params.ops_per_process = quick ? 10 : static_cast<std::uint32_t>(cli.get_int("ops"));
         params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
-
-        daos::ClusterConfig cfg = bench::testbed_config(s, clients);
+        daos::ClusterConfig cfg = bench::testbed_config(s, 2 * s);
         // The paper reports the failure for pattern A runs specifically.
         cfg.faults.container_create_issue = cli.get_bool("emulate-issues") && pattern == 'A';
+        const std::uint64_t cell_seed = seed + s * 23 + static_cast<std::uint64_t>(mode);
+        return bench::run_field_once(cfg, params, pattern, bench::repetition_seed(cell_seed, rep));
+      });
 
-        const bench::RepetitionSummary summary =
-            bench::repeat(reps, seed + s * 23 + static_cast<std::uint64_t>(mode), [&](std::uint64_t rs) {
-              return bench::run_field_once(cfg, params, pattern, rs);
-            });
-        obs.merge_metrics(summary.metrics);
-        if (summary.write.empty() && summary.read.empty()) {
-          table.add_row({std::string(1, pattern), fdb::mode_name(mode), std::to_string(s), "-", "-", "-",
-                         "FAILED: " + summary.failure});
-          continue;
-        }
-        const double w = summary.write.empty() ? 0.0 : summary.write.mean();
-        const double r = summary.read.empty() ? 0.0 : summary.read.mean();
-        table.add_row({std::string(1, pattern), fdb::mode_name(mode), std::to_string(s), strf("%.1f", w),
-                       strf("%.1f", r), strf("%.2f", (w + r) / static_cast<double>(2 * s)),
-                       summary.any_failed ? "some repetitions failed" : ""});
-      }
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const auto [pattern, mode, s] = grid[cell];
+    const bench::RepetitionSummary& summary = cells[cell];
+    obs.merge_metrics(summary.metrics);
+    if (summary.write.empty() && summary.read.empty()) {
+      table.add_row({std::string(1, pattern), fdb::mode_name(mode), std::to_string(s), "-", "-", "-",
+                     "FAILED: " + summary.failure});
+      continue;
     }
+    const double w = summary.write.empty() ? 0.0 : summary.write.mean();
+    const double r = summary.read.empty() ? 0.0 : summary.read.mean();
+    table.add_row({std::string(1, pattern), fdb::mode_name(mode), std::to_string(s), strf("%.1f", w),
+                   strf("%.1f", r), strf("%.2f", (w + r) / static_cast<double>(2 * s)),
+                   summary.any_failed ? "some repetitions failed" : ""});
   }
 
   std::cout << "paper: pattern B no-containers ~2.75 aggregated/engine (~70 GiB/s @ 12 servers);\n"

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.add_flag("ppn", "48", "processes per client node");
   cli.add_flag("pattern", "A", "access pattern (A per the figure; B discussed in the text)");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig6_objclass_size");
 
   const bool quick = cli.get_bool("quick");
@@ -39,32 +39,37 @@ int main(int argc, char** argv) {
 
   Table table({"object class", "object size (MiB)", "write (GiB/s)", "read (GiB/s)"});
 
-  for (const daos::ObjectClass oclass : classes) {
-    for (const Bytes size : sizes) {
-      bench::FieldBenchParams params;
-      params.mode = fdb::Mode::full;
-      params.shared_forecast_index = true;  // high contention, as in Fig. 4's full mode
-      params.ops_per_process = quick ? 8 : static_cast<std::uint32_t>(cli.get_int("ops"));
-      params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
-      params.field_size = size;
-      params.array_class = oclass;
-      // The figure varies the class of *all* Field I/O objects.
-      params.kv_class = oclass;
+  // One cell per (object class, object size), in row order.
+  const std::size_t n_sizes = sizes.size();
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(classes.size() * n_sizes, reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const daos::ObjectClass oclass = classes[cell / n_sizes];
+        const Bytes size = sizes[cell % n_sizes];
+        bench::FieldBenchParams params;
+        params.mode = fdb::Mode::full;
+        params.shared_forecast_index = true;  // high contention, as in Fig. 4's full mode
+        params.ops_per_process = quick ? 8 : static_cast<std::uint32_t>(cli.get_int("ops"));
+        params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
+        params.field_size = size;
+        params.array_class = oclass;
+        // The figure varies the class of *all* Field I/O objects.
+        params.kv_class = oclass;
+        const std::uint64_t cell_seed = seed + size / 1_MiB + static_cast<std::uint64_t>(oclass) * 97;
+        return bench::run_field_once(bench::testbed_config(2, 4), params, pattern,
+                                     bench::repetition_seed(cell_seed, rep));
+      });
 
-      const bench::RepetitionSummary summary = bench::repeat(
-          reps, seed + size / 1_MiB + static_cast<std::uint64_t>(oclass) * 97, [&](std::uint64_t rs) {
-            return bench::run_field_once(bench::testbed_config(2, 4), params, pattern, rs);
-          });
-      obs.merge_metrics(summary.metrics);
-      if (summary.write.empty() && summary.read.empty()) {
-        table.add_row({daos::object_class_name(oclass), std::to_string(size / 1_MiB), "failed",
-                       summary.failure});
-        continue;
-      }
-      table.add_row({daos::object_class_name(oclass), std::to_string(size / 1_MiB),
-                     strf("%.1f", summary.write.empty() ? 0.0 : summary.write.mean()),
-                     strf("%.1f", summary.read.empty() ? 0.0 : summary.read.mean())});
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const std::string oclass = daos::object_class_name(classes[cell / n_sizes]);
+    const std::string size_mib = std::to_string(sizes[cell % n_sizes] / 1_MiB);
+    const bench::RepetitionSummary& summary = cells[cell];
+    obs.merge_metrics(summary.metrics);
+    if (summary.write.empty() && summary.read.empty()) {
+      table.add_row({oclass, size_mib, "failed", summary.failure});
+      continue;
     }
+    table.add_row({oclass, size_mib, strf("%.1f", summary.write.empty() ? 0.0 : summary.write.mean()),
+                   strf("%.1f", summary.read.empty() ? 0.0 : summary.read.mean())});
   }
 
   std::cout << "paper: 1 -> 5/10 MiB roughly doubles bandwidth; plateau/slight drop at 20 MiB;\n"

@@ -20,16 +20,14 @@ int main(int argc, char** argv) {
   cli.add_flag("ppn", "4,8,12,24", "processes-per-node candidates (paper set)");
   cli.add_flag("segments", "100", "IOR segment count (-s)");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig7_tcp_vs_psm2");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> clients;
-  for (const auto v : cli.get_int_list("clients")) clients.push_back(static_cast<std::size_t>(v));
-  std::vector<std::size_t> ppn_candidates;
-  for (const auto v : cli.get_int_list("ppn")) ppn_candidates.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> clients = bench::size_list(cli, "clients");
+  std::vector<std::size_t> ppn_candidates = bench::size_list(cli, "ppn");
   if (quick) {
     clients = {2, 8};
     ppn_candidates = {8, 24};
@@ -38,31 +36,42 @@ int main(int argc, char** argv) {
   Table table({"client nodes", "tcp write", "tcp read", "psm2 write", "psm2 read", "psm2/tcp write",
                "psm2/tcp read"});
 
-  for (const std::size_t c : clients) {
+  // One cell per (client nodes, provider, ppn candidate); each (client
+  // nodes, provider) pair reports its best candidate.
+  const char* providers[] = {"tcp", "psm2"};
+  const std::size_t n_ppn = ppn_candidates.size();
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(clients.size() * 2 * n_ppn, reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const std::size_t c = clients[cell / (2 * n_ppn)];
+        const std::size_t p = cell / n_ppn % 2;
+        const std::size_t ppn = ppn_candidates[cell % n_ppn];
+        daos::ClusterConfig cfg = bench::testbed_config(4, c, providers[p]);
+        // Both providers run the restricted deployment PSM2 permits (single
+        // engine per server, one client socket), as the paper's comparison
+        // does (Section 6.4).
+        cfg.engines_per_server = 1;
+        cfg.client_sockets_in_use = 1;
+        ior::IorParams params;
+        params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
+        params.processes_per_node = ppn;
+        const std::uint64_t candidate_seed = (seed + c * 29 + p) ^ (0x51ed2700ull * ppn);
+        return bench::run_ior_once(cfg, params, bench::repetition_seed(candidate_seed, rep));
+      });
+
+  for (std::size_t row = 0; row < clients.size(); ++row) {
     double bw[2][2] = {{0, 0}, {0, 0}};  // [provider][write/read]
-    int p_index = 0;
-    for (const std::string provider : {"tcp", "psm2"}) {
-      const bench::BestOfPpn best = bench::best_over_ppn(
-          ppn_candidates, reps, seed + c * 29 + p_index, [&](std::size_t ppn, std::uint64_t rs) {
-            daos::ClusterConfig cfg = bench::testbed_config(4, c, provider);
-            // Both providers run the restricted deployment PSM2 permits
-            // (single engine per server, one client socket), as the paper's
-            // comparison does (Section 6.4).
-            cfg.engines_per_server = 1;
-            cfg.client_sockets_in_use = 1;
-            ior::IorParams params;
-            params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
-            params.processes_per_node = ppn;
-            return bench::run_ior_once(cfg, params, rs);
-          });
-      obs.merge_metrics(best.summary.metrics);
-      if (!best.summary.write.empty()) {
-        bw[p_index][0] = best.summary.write.mean();
-        bw[p_index][1] = best.summary.read.mean();
+    for (std::size_t p = 0; p < 2; ++p) {
+      const auto candidates = std::span(cells).subspan((2 * row + p) * n_ppn, n_ppn);
+      const std::optional<std::size_t> best = bench::best_cell(candidates);
+      if (!best) continue;
+      const bench::RepetitionSummary& summary = candidates[*best];
+      obs.merge_metrics(summary.metrics);
+      if (!summary.write.empty()) {
+        bw[p][0] = summary.write.mean();
+        bw[p][1] = summary.read.mean();
       }
-      ++p_index;
     }
-    table.add_row({std::to_string(c), strf("%.1f", bw[0][0]), strf("%.1f", bw[0][1]),
+    table.add_row({std::to_string(clients[row]), strf("%.1f", bw[0][0]), strf("%.1f", bw[0][1]),
                    strf("%.1f", bw[1][0]), strf("%.1f", bw[1][1]),
                    bw[0][0] > 0 ? strf("%.2f", bw[1][0] / bw[0][0]) : "-",
                    bw[0][1] > 0 ? strf("%.2f", bw[1][1] / bw[0][1]) : "-"});

@@ -36,22 +36,15 @@ int main(int argc, char** argv) {
   cli.add_flag("policy", "lru", "cache eviction policy: lru | size-lru");
   cli.add_flag("notify", "true", "consumers subscribe to store notifications");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig_contention_serving");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> consumer_counts;
-  for (const auto v : cli.get_int_list("consumers")) {
-    consumer_counts.push_back(static_cast<std::size_t>(v));
-  }
-  std::vector<std::size_t> cache_sizes;
-  for (const auto v : cli.get_int_list("cache-fields")) {
-    cache_sizes.push_back(static_cast<std::size_t>(v));
-  }
-  std::vector<std::size_t> budgets;
-  for (const auto v : cli.get_int_list("budget")) budgets.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> consumer_counts = bench::size_list(cli, "consumers");
+  std::vector<std::size_t> cache_sizes = bench::size_list(cli, "cache-fields");
+  std::vector<std::size_t> budgets = bench::size_list(cli, "budget");
   if (quick) {
     consumer_counts = {0, 8};
     cache_sizes = {32};
@@ -77,10 +70,17 @@ int main(int argc, char** argv) {
   Table table({"consumers", "cache", "budget", "write (GiB/s)", "slowdown", "read (GiB/s)",
                "hit ratio", "coalesced", "adm. queued"});
 
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> grid;  // (cache, budget, consumers)
   for (const std::size_t cache_fields : cache_sizes) {
     for (const std::size_t budget : budgets) {
-      double baseline_write = 0.0;  // consumers=0 row of this (cache, budget) sweep
       for (const std::size_t consumers : consumer_counts) {
+        grid.emplace_back(cache_fields, budget, consumers);
+      }
+    }
+  }
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(grid.size(), reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const auto [cache_fields, budget, consumers] = grid[cell];
         pgen::ServingConfig serve = serve_base;
         serve.consumers = consumers;
         serve.cache.capacity_fields = cache_fields;
@@ -88,36 +88,38 @@ int main(int argc, char** argv) {
         serve.admission.max_in_flight = budget;
         const std::uint64_t sweep_seed =
             seed + 1009u * consumers + 10007u * cache_fields + 100003u * budget;
-        const bench::RepetitionSummary summary = bench::repeat(reps, sweep_seed, [&](std::uint64_t rs) {
-          return pgen::run_contention_once(cluster, write, serve, rs);
-        });
-        obs.merge_metrics(summary.metrics);
-        const std::string cache_label = cache_fields == 0
-                                            ? "off"
-                                            : std::to_string(cache_fields) + " fields";
-        const std::string budget_label = budget == 0 ? "unlimited" : std::to_string(budget);
-        if (summary.any_failed || summary.write.empty()) {
-          table.add_row({std::to_string(consumers), cache_label, budget_label, "failed",
-                         summary.failure});
-          continue;
-        }
-        const double w = summary.write.mean();
-        if (consumers == 0) baseline_write = w;
-        const double slowdown = (consumers == 0 || w <= 0.0) ? 1.0 : baseline_write / w;
-        const double r = summary.read.empty() ? 0.0 : summary.read.mean();
-        const auto metric = [&summary](const char* name) {
-          return summary.metrics.has(name) ? summary.metrics.value(name) : 0.0;
-        };
-        const double lookups = metric("cache.hits") + metric("cache.misses") +
-                               metric("cache.coalesced");
-        const double hit_ratio =
-            lookups > 0.0 ? (metric("cache.hits") + metric("cache.coalesced")) / lookups : 0.0;
-        table.add_row({std::to_string(consumers), cache_label, budget_label, strf("%.2f", w),
-                       strf("%.2fx", slowdown), strf("%.2f", r), strf("%.0f%%", 100.0 * hit_ratio),
-                       strf("%.0f", metric("cache.coalesced")),
-                       strf("%.0f", metric("admission.queued"))});
-      }
+        return pgen::run_contention_once(cluster, write, serve,
+                                         bench::repetition_seed(sweep_seed, rep));
+      });
+
+  double baseline_write = 0.0;  // consumers=0 row of the current (cache, budget) sweep
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const auto [cache_fields, budget, consumers] = grid[cell];
+    if (cell % consumer_counts.size() == 0) baseline_write = 0.0;
+    const bench::RepetitionSummary& summary = cells[cell];
+    obs.merge_metrics(summary.metrics);
+    const std::string cache_label =
+        cache_fields == 0 ? "off" : std::to_string(cache_fields) + " fields";
+    const std::string budget_label = budget == 0 ? "unlimited" : std::to_string(budget);
+    if (summary.any_failed || summary.write.empty()) {
+      table.add_row({std::to_string(consumers), cache_label, budget_label, "failed",
+                     summary.failure});
+      continue;
     }
+    const double w = summary.write.mean();
+    if (consumers == 0) baseline_write = w;
+    const double slowdown = (consumers == 0 || w <= 0.0) ? 1.0 : baseline_write / w;
+    const double r = summary.read.empty() ? 0.0 : summary.read.mean();
+    const auto metric = [&summary](const char* name) {
+      return summary.metrics.has(name) ? summary.metrics.value(name) : 0.0;
+    };
+    const double lookups = metric("cache.hits") + metric("cache.misses") + metric("cache.coalesced");
+    const double hit_ratio =
+        lookups > 0.0 ? (metric("cache.hits") + metric("cache.coalesced")) / lookups : 0.0;
+    table.add_row({std::to_string(consumers), cache_label, budget_label, strf("%.2f", w),
+                   strf("%.2fx", slowdown), strf("%.2f", r), strf("%.0f%%", 100.0 * hit_ratio),
+                   strf("%.0f", metric("cache.coalesced")),
+                   strf("%.0f", metric("admission.queued"))});
   }
 
   std::cout << "expectation: slowdown grows with consumers; the shared cache and admission\n"

@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
   cli.add_flag("stream-mib", "1", "field size of the streaming scenario, MiB");
   cli.add_flag("meta-bytes", "16000", "field size of the metadata-heavy scenario");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig_interfaces");
 
   const bool quick = cli.get_bool("quick");
@@ -396,23 +396,30 @@ int main(int argc, char** argv) {
   // smoke run still prints and reports everything but does not assert.
   const bool assert_ordering = !quick && reps >= 3 && base.ops >= 6;
 
+  // One cell per (scenario, backend): stream then meta, in backend order.
+  Campaign camps[2] = {base, base};
+  camps[0].field_size = stream_size;
+  camps[1].meta = true;
+  camps[1].field_size = meta_size;
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(2 * 4, reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const Campaign& camp = camps[cell / 4];
+        const std::size_t b = cell % 4;
+        const std::uint64_t rs =
+            bench::repetition_seed(seed + 7919ull * (camp.meta ? 2 : 1) + 104729ull * b, rep);
+        switch (b) {
+          case 0: return run_native_once(camp, rs);
+          case 1: return run_fs_once(camp, /*posix_mode=*/false, rs);
+          case 2: return run_fs_once(camp, /*posix_mode=*/true, rs);
+          default: return run_lustre_once(camp, rs);
+        }
+      });
+
   for (const bool meta : {false, true}) {
-    Campaign camp = base;
-    camp.meta = meta;
-    camp.field_size = meta ? meta_size : stream_size;
     const char* scenario = meta ? "meta" : "stream";
     double fields_per_sec[4] = {0, 0, 0, 0};
     for (std::size_t b = 0; b < 4; ++b) {
-      const std::uint64_t cell_seed = seed + 7919ull * (meta ? 2 : 1) + 104729ull * b;
-      const bench::RepetitionSummary summary =
-          bench::repeat(reps, cell_seed, [&](std::uint64_t rs) {
-            switch (b) {
-              case 0: return run_native_once(camp, rs);
-              case 1: return run_fs_once(camp, /*posix_mode=*/false, rs);
-              case 2: return run_fs_once(camp, /*posix_mode=*/true, rs);
-              default: return run_lustre_once(camp, rs);
-            }
-          });
+      const bench::RepetitionSummary& summary = cells[(meta ? 4 : 0) + b];
       obs.merge_metrics(summary.metrics);
       if (summary.any_failed) {
         table.add_row({scenario, backends[b], "failed", summary.failure});
@@ -421,7 +428,7 @@ int main(int argc, char** argv) {
       }
       const double write_bw = summary.write.empty() ? 0.0 : summary.write.mean();
       const double read_bw = summary.read.empty() ? 0.0 : summary.read.mean();
-      fields_per_sec[b] = write_bw * 1073741824.0 / static_cast<double>(camp.field_size);
+      fields_per_sec[b] = write_bw * 1073741824.0 / static_cast<double>(camps[meta].field_size);
       table.add_row({scenario, backends[b], strf("%.3f", write_bw), strf("%.3f", read_bw),
                      strf("%.1f", fields_per_sec[b])});
     }

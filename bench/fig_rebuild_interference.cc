@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   cli.add_flag("field-mib", "1", "field size in MiB");
   cli.add_flag("mode", "no_index", "field I/O mode: full, no_containers, no_index");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig_rebuild_interference");
 
   const bool quick = cli.get_bool("quick");
@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
   const double fail_pct = static_cast<double>(cli.get_int("fail-pct"));
-  std::vector<long long> caps_mib;
-  for (const auto v : cli.get_int_list("rebuild-mibs")) caps_mib.push_back(v);
+  std::vector<double> caps_mib;  // 0 = uncapped
+  for (const auto v : cli.get_int_list("rebuild-mibs")) caps_mib.push_back(static_cast<double>(v));
   if (quick) caps_mib = {512};
 
   bench::FieldBenchParams params;
@@ -56,14 +56,15 @@ int main(int argc, char** argv) {
   Table table({"rebuild cap", "write (GiB/s)", "slowdown", "write p95 (ms)", "rebuild window (ms)",
                "degraded reads", "rebuilt MiB", "lost"});
 
-  // The failure must land mid-write-stream, when stripes actually sit on the
-  // victim: derive the instant from the baseline row's measured bandwidth
-  // (deterministic, so every row — and every --jobs — sees the same instant).
-  const auto run_row = [&](bool with_failure, double cap_mib_per_sec, double fail_seconds) {
-    return bench::repeat(reps, seed, [&](std::uint64_t rs) {
+  // Runs one grid of rows, one cell per rate cap in MiB/s.  The failure must
+  // land mid-write-stream, when stripes actually sit on the victim.
+  const auto run_rows = [&](const std::vector<double>& caps, bool with_failure,
+                            double fail_seconds) {
+    return bench::run_grid(caps.size(), reps, jobs, [&](std::size_t cell, std::size_t rep) {
+      const std::uint64_t rs = bench::repetition_seed(seed, rep);
       daos::ClusterConfig cfg = bench::testbed_config(servers, 2);
       cfg.targets_per_engine = static_cast<std::size_t>(cli.get_int("tpe"));
-      cfg.model.rebuild_rate_cap = cap_mib_per_sec * 1024.0 * 1024.0;
+      cfg.model.rebuild_rate_cap = caps[cell] * 1024.0 * 1024.0;
       if (with_failure) {
         cfg.fault_spec.seed = mix64(rs ^ 0x9eb41dull);
         cfg.fault_spec.permanent_failures = 1;
@@ -99,7 +100,10 @@ int main(int argc, char** argv) {
                    strf("%.0f", metric_value(summary, "rebuild.objects_lost"))});
   };
 
-  const bench::RepetitionSummary baseline = run_row(false, 512.0, 0.0);
+  // Two grids, because the failure instant of every failure row derives from
+  // the baseline row's measured bandwidth (deterministic, so every row — and
+  // every --jobs — sees the same instant).
+  const bench::RepetitionSummary baseline = run_rows({512.0}, false, 0.0).front();
   obs.merge_metrics(baseline.metrics);
   const double baseline_write =
       baseline.any_failed || baseline.write.empty() ? 0.0 : baseline.write.mean();
@@ -109,12 +113,12 @@ int main(int argc, char** argv) {
                                  static_cast<double>(params.processes_per_node) * 2.0 *
                                  static_cast<double>(params.field_size) / (1024.0 * 1024.0 * 1024.0);
   const double write_phase_seconds = baseline_write > 0.0 ? total_write_gib / baseline_write : 0.05;
-  const double fail_seconds = write_phase_seconds * fail_pct / 100.0;
-
-  for (const long long cap : caps_mib) {
-    const bench::RepetitionSummary summary = run_row(true, static_cast<double>(cap), fail_seconds);
-    obs.merge_metrics(summary.metrics);
-    add_row(cap == 0 ? "uncapped" : strf("%lld MiB/s", cap), summary, baseline_write);
+  const std::vector<bench::RepetitionSummary> rows =
+      run_rows(caps_mib, true, write_phase_seconds * fail_pct / 100.0);
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    obs.merge_metrics(rows[row].metrics);
+    add_row(caps_mib[row] == 0 ? "uncapped" : strf("%.0f MiB/s", caps_mib[row]), rows[row],
+            baseline_write);
   }
 
   std::cout << "expected: slowdown > 1.0x on every failure row (one of "

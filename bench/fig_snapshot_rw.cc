@@ -36,17 +36,14 @@ int main(int argc, char** argv) {
   // only version the tiny index entries — write amplification stays ~1.
   cli.add_flag("mode", "no_index", "field I/O mode: full, no_containers, no_index");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig_snapshot_rw");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
-  std::vector<std::size_t> retentions;
-  for (const auto v : cli.get_int_list("retention")) {
-    retentions.push_back(static_cast<std::size_t>(v));
-  }
+  std::vector<std::size_t> retentions = bench::size_list(cli, "retention");
   if (quick) retentions = {0, 2};
 
   bench::FieldBenchParams params;
@@ -59,15 +56,20 @@ int main(int argc, char** argv) {
   Table table({"retention", "write (GiB/s)", "read (GiB/s)", "write amp", "read p95 (ms)",
                "pinned reads", "fallbacks", "pin retries", "live MiB"});
 
-  for (const std::size_t retention : retentions) {
-    const bench::RepetitionSummary summary =
-        bench::repeat(reps, seed + 131 * retention, [&](std::uint64_t rs) {
-          daos::ClusterConfig cfg = bench::testbed_config(servers, 2);
-          // Byte-level snapshot verification needs real payloads.
-          cfg.payload_mode = daos::PayloadMode::full;
-          cfg.model.epoch_retention_depth = retention;
-          return bench::run_field_once(cfg, params, 'B', rs);
-        });
+  // One cell per retention depth.
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(retentions.size(), reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        daos::ClusterConfig cfg = bench::testbed_config(servers, 2);
+        // Byte-level snapshot verification needs real payloads.
+        cfg.payload_mode = daos::PayloadMode::full;
+        cfg.model.epoch_retention_depth = retentions[cell];
+        return bench::run_field_once(cfg, params, 'B',
+                                     bench::repetition_seed(seed + 131 * retentions[cell], rep));
+      });
+
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const std::size_t retention = retentions[cell];
+    const bench::RepetitionSummary& summary = cells[cell];
     obs.merge_metrics(summary.metrics);
     if (summary.any_failed) {
       table.add_row({std::to_string(retention), "failed", summary.failure});

@@ -24,14 +24,13 @@ int main(int argc, char** argv) {
   cli.add_flag("ops", "8", "field ops per process per run");
   cli.add_flag("ppn", "32", "processes per client node");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "projection_future_volumes");
 
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::size_t> servers;
-  for (const auto v : cli.get_int_list("servers")) servers.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> servers = bench::size_list(cli, "servers");
   if (quick) servers = {8};
 
   // A window must absorb the volume as writes and serve it again as reads
@@ -41,14 +40,21 @@ int main(int argc, char** argv) {
   Table table({"server nodes", "write (GiB/s)", "read (GiB/s)", "40 TiB window", "180 TiB window",
                "700 TiB window"});
 
-  for (const std::size_t s : servers) {
-    bench::FieldBenchParams params;
-    params.mode = fdb::Mode::no_containers;
-    params.ops_per_process = static_cast<std::uint32_t>(cli.get_int("ops"));
-    params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
-    const bench::RepetitionSummary summary = bench::repeat(reps, seed + s, [&](std::uint64_t rs) {
-      return bench::run_field_once(bench::testbed_config(s, 2 * s), params, 'B', rs);
-    });
+  // One cell per server node count.
+  const std::vector<bench::RepetitionSummary> cells =
+      bench::run_grid(servers.size(), reps, jobs, [&](std::size_t cell, std::size_t rep) {
+        const std::size_t s = servers[cell];
+        bench::FieldBenchParams params;
+        params.mode = fdb::Mode::no_containers;
+        params.ops_per_process = static_cast<std::uint32_t>(cli.get_int("ops"));
+        params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
+        return bench::run_field_once(bench::testbed_config(s, 2 * s), params, 'B',
+                                     bench::repetition_seed(seed + s, rep));
+      });
+
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const std::size_t s = servers[cell];
+    const bench::RepetitionSummary& summary = cells[cell];
     obs.merge_metrics(summary.metrics);
     if (summary.write.empty()) {
       table.add_row({std::to_string(s), "failed", summary.failure});

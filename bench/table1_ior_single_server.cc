@@ -18,12 +18,11 @@ int main(int argc, char** argv) {
   cli.add_flag("ppn", "24,48,72,96", "processes-per-node candidates");
   cli.add_flag("segments", "100", "IOR segment count (-s)");
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
+  const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "table1_ior_single_server");
 
   const bool quick = cli.get_bool("quick");
-  std::vector<std::size_t> ppn_candidates;
-  for (const auto v : cli.get_int_list("ppn")) ppn_candidates.push_back(static_cast<std::size_t>(v));
+  std::vector<std::size_t> ppn_candidates = bench::size_list(cli, "ppn");
   if (quick) ppn_candidates = {24, 48};
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -42,37 +41,35 @@ int main(int argc, char** argv) {
   Table table({"engines per server node", "ifaces per client node", "1 client node (GiB/s)",
                "paper", "2 client nodes (GiB/s)", "paper"});
 
-  for (const Config& config : configs) {
-    std::string cells[2];
-    for (const std::size_t clients : {std::size_t{1}, std::size_t{2}}) {
-      // Table 1 reports the maximum across all repetitions and process
-      // counts.  The (ppn, repetition) grid is flattened into one pool
-      // sweep; the max fold below runs serially in job-index order.
-      const std::vector<bench::RunOutcome> outcomes = bench::parallel_map(
-          ppn_candidates.size() * reps, bench::default_jobs(), [&](std::size_t job) {
-            const std::size_t ppn = ppn_candidates[job / reps];
-            const std::size_t rep = job % reps;
-            daos::ClusterConfig cfg = bench::testbed_config(1, clients);
-            cfg.engines_per_server = config.engines;
-            cfg.client_sockets_in_use = config.client_ifaces;
-            ior::IorParams params;
-            params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
-            params.processes_per_node = ppn;
-            return bench::run_ior_once(cfg, params, seed + rep * 7919 + ppn);
-          });
-      double best_w = 0.0;
-      double best_r = 0.0;
-      for (const bench::RunOutcome& out : outcomes) {
-        if (!out.failed) {
-          best_w = std::max(best_w, out.write_bw);
-          best_r = std::max(best_r, out.read_bw);
-          obs.merge_metrics(out.metrics);
-        }
-      }
-      cells[clients - 1] = strf("%.1fw / %.1fr", best_w, best_r);
+  // One cell per (configuration, client nodes); its repetitions cover the
+  // whole (ppn, repetition) grid, since Table 1 reports the maximum across
+  // all repetitions and process counts.
+  const std::vector<bench::RepetitionSummary> cells = bench::run_grid(
+      std::size(configs) * 2, ppn_candidates.size() * reps, jobs, [&](std::size_t cell, std::size_t r) {
+        const Config& config = configs[cell / 2];
+        const std::size_t ppn = ppn_candidates[r / reps];
+        const std::size_t rep = r % reps;
+        daos::ClusterConfig cfg = bench::testbed_config(1, cell % 2 + 1);
+        cfg.engines_per_server = config.engines;
+        cfg.client_sockets_in_use = config.client_ifaces;
+        ior::IorParams params;
+        params.segments = static_cast<std::uint32_t>(cli.get_int("segments"));
+        params.processes_per_node = ppn;
+        return bench::run_ior_once(cfg, params, seed + rep * 7919 + ppn);
+      });
+
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    std::string bw[2];
+    for (std::size_t clients = 0; clients < 2; ++clients) {
+      const bench::RepetitionSummary& summary = cells[2 * c + clients];
+      obs.merge_metrics(summary.metrics);
+      bw[clients] = summary.write.empty()
+                        ? "0.0w / 0.0r"
+                        : strf("%.1fw / %.1fr", summary.write.max(), summary.read.max());
     }
-    table.add_row({std::to_string(config.engines), std::to_string(config.client_ifaces), cells[0],
-                   strf("%.1fw / %.1fr", config.paper_1c_w, config.paper_1c_r), cells[1],
+    const Config& config = configs[c];
+    table.add_row({std::to_string(config.engines), std::to_string(config.client_ifaces), bw[0],
+                   strf("%.1fw / %.1fr", config.paper_1c_w, config.paper_1c_r), bw[1],
                    strf("%.1fw / %.1fr", config.paper_2c_w, config.paper_2c_r)});
   }
   bench::emit(table, "Table 1: Access pattern A, IOR segments, 1 server node (max sync bandwidth)", cli, obs);

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   Cli cli;
   bench::add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "table2_mpi_p2p");
 
   struct Row {

@@ -7,6 +7,7 @@
 # when the plain build happens to pass — and the TSan pass guards the
 # parallel sweep engine (parallel_map in src/harness/run_pool.h: threads
 # claiming job indices from a shared counter) against data races.
+# Every ctest pass includes the paper benches' smoke tests (label `bench`).
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
 # schema regression in the observability layer fails CI, not Perfetto.  The
@@ -26,8 +27,8 @@
 # Usage: scripts/check.sh [--lint-only|--plain-only|--sanitize-only|--tsan-only|--coverage-only] [--jobs N]
 #
 # --jobs / -j (or NWS_JOBS) sets both the build parallelism and the
-# experiment-sweep parallelism inside the test binaries; 0 or unset means
-# one job per hardware thread.
+# chaos sweep's parallelism inside the test binaries; 0 or unset means one
+# job per hardware thread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,7 +130,11 @@ if [[ $run_tsan -eq 1 ]]; then
   echo "==> TSan build (build-tsan/, -fsanitize=thread): run pool + chaos sweep"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNWS_SANITIZE=thread
-  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint \
+  cmake --build build-tsan -j "$jobs" --target harness_test chaos_test dfs_test micro_components obs_lint \
+    table1_ior_single_server table2_mpi_p2p fig3_ior_scaling fig4_fieldio_high_contention \
+    fig5_fieldio_low_contention fig6_objclass_size fig7_tcp_vs_psm2 fig_contention_serving \
+    fig_snapshot_rw fig_interfaces fig_rebuild_interference baseline_lustre ablation_transfer_scheme \
+    projection_future_volumes \
     quickstart nwp_operational_cycle capacity_planning fieldio_cli end_to_end_forecast
   # The RunPoolTest cases pin their own thread counts; the chaos sweep runs a
   # reduced scenario count (TSan is ~10x slower) across all hardware threads
@@ -146,10 +151,13 @@ if [[ $run_tsan -eq 1 ]]; then
   # case count keeps the TSan stage within seconds.
   TSAN_OPTIONS=halt_on_error=1 NWS_DFS_COUNT=2 \
     ./build-tsan/tests/dfs_test --gtest_filter='DfsPropertyTest.*:DfsChaosTest.*:PosixFsTest.SharedMetadataLockSerialisesProcesses'
-  # The shipped examples (ctest label `example`; the plain and sanitized
-  # stages run them with the rest of ctest).
+  # The shipped examples and paper benches (ctest labels `example` and
+  # `bench`; the plain and sanitized stages run them with the rest of
+  # ctest).  Each bench smoke test sweeps its grid on two threads.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan -L example --output-on-failure -j "$jobs"
+  TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-tsan -L bench --output-on-failure -j "$jobs"
   TSAN_OPTIONS=halt_on_error=1 check_artifacts build-tsan
 fi
 

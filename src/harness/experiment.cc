@@ -1,17 +1,26 @@
 #include "harness/experiment.h"
 
+#include "harness/run_pool.h"
 #include "obs/trace.h"
 
 namespace nws::bench {
 
-namespace {
+std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t r) {
+  return base_seed + 1000003ull * (r + 1);
+}
 
-/// Serial fold of per-repetition outcomes, in repetition order (the exact
-/// accumulation order of the historical serial loop).  Seals the summaries
-/// and folded metrics so later const readers share them race-free.
-RepetitionSummary summarise(const std::vector<RunOutcome>& outcomes) {
-  RepetitionSummary summary;
-  for (const RunOutcome& outcome : outcomes) {
+std::vector<RepetitionSummary> run_grid(
+    std::size_t cells, std::size_t reps, std::size_t jobs,
+    const std::function<RunOutcome(std::size_t cell, std::size_t rep)>& run) {
+  const std::vector<RunOutcome> outcomes = parallel_map(
+      cells * reps, jobs, [&](std::size_t job) { return run(job / reps, job % reps); });
+  // Serial fold in job-index order: each cell's repetitions accumulate in
+  // repetition order, whichever thread ran them.  Sealing lets later const
+  // readers share the summaries race-free.
+  std::vector<RepetitionSummary> summaries(cells);
+  for (std::size_t job = 0; job < outcomes.size(); ++job) {
+    const RunOutcome& outcome = outcomes[job];
+    RepetitionSummary& summary = summaries[job / reps];
     if (outcome.failed) {
       summary.any_failed = true;
       summary.failure = outcome.failure;
@@ -21,23 +30,28 @@ RepetitionSummary summarise(const std::vector<RunOutcome>& outcomes) {
     summary.read.add(outcome.read_bw);
     summary.metrics.fold(outcome.metrics);
   }
-  summary.write.seal();
-  summary.read.seal();
-  summary.metrics.seal();
-  return summary;
+  for (RepetitionSummary& summary : summaries) {
+    summary.write.seal();
+    summary.read.seal();
+    summary.metrics.seal();
+  }
+  return summaries;
 }
 
-std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t r) {
-  return base_seed + 1000003ull * (r + 1);
-}
-
-}  // namespace
-
-RepetitionSummary repeat(std::size_t reps, std::uint64_t base_seed,
-                         const std::function<RunOutcome(std::uint64_t seed)>& run,
-                         std::size_t jobs) {
-  return summarise(parallel_map(
-      reps, jobs, [&](std::size_t r) { return run(repetition_seed(base_seed, r)); }));
+std::optional<std::size_t> best_cell(std::span<const RepetitionSummary> candidates) {
+  std::optional<std::size_t> best;
+  double best_score = -1.0;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const RepetitionSummary& summary = candidates[c];
+    if (summary.any_failed && summary.write.empty() && summary.read.empty()) continue;
+    const double score = (summary.write.empty() ? 0.0 : summary.write.mean()) +
+                         (summary.read.empty() ? 0.0 : summary.read.mean());
+    if (score > best_score) {
+      best_score = score;
+      best = c;
+    }
+  }
+  return best;
 }
 
 obs::MetricsSnapshot snapshot_run_metrics(const sim::Scheduler& sched, const net::FlowStats& flows,
@@ -165,35 +179,6 @@ RunOutcome run_field_once(daos::ClusterConfig cfg, const FieldBenchParams& param
     }
   }
   return outcome;
-}
-
-BestOfPpn best_over_ppn(const std::vector<std::size_t>& ppn_candidates, std::size_t reps,
-                        std::uint64_t base_seed,
-                        const std::function<RunOutcome(std::size_t ppn, std::uint64_t seed)>& run,
-                        std::size_t jobs) {
-  // Flatten the (ppn, repetition) grid into one sweep so a wide pool stays
-  // busy even when reps < jobs; job index = candidate * reps + repetition.
-  const std::vector<RunOutcome> outcomes =
-      parallel_map(ppn_candidates.size() * reps, jobs, [&](std::size_t job) {
-        const std::size_t ppn = ppn_candidates[job / reps];
-        return run(ppn, repetition_seed(base_seed ^ (0x51ed2700ull * ppn), job % reps));
-      });
-
-  BestOfPpn best;
-  double best_score = -1.0;
-  for (std::size_t c = 0; c < ppn_candidates.size(); ++c) {
-    const RepetitionSummary summary = summarise(
-        {outcomes.begin() + static_cast<std::ptrdiff_t>(c * reps),
-         outcomes.begin() + static_cast<std::ptrdiff_t>((c + 1) * reps)});
-    if (summary.any_failed && summary.write.empty() && summary.read.empty()) continue;
-    const double score = summary.mean_aggregate();
-    if (score > best_score) {
-      best_score = score;
-      best.ppn = ppn_candidates[c];
-      best.summary = summary;
-    }
-  }
-  return best;
 }
 
 daos::ClusterConfig testbed_config(std::size_t server_nodes, std::size_t client_nodes,

@@ -1,5 +1,5 @@
-// Experiment runner: repetitions, parameter sweeps and best-configuration
-// search over fresh simulated clusters.
+// Experiment runner: a bench's grid of configurations x repetitions over
+// fresh simulated clusters, and the best-configuration search.
 //
 // The paper's methodology (Sections 6.2-6.3): each configuration is repeated
 // several times; bandwidths are reported either as the maximum across
@@ -10,13 +10,14 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
 #include "daos/cluster.h"
 #include "harness/field_bench.h"
-#include "harness/run_pool.h"
 #include "ior/ior.h"
 #include "obs/metrics.h"
 
@@ -42,10 +43,6 @@ struct RepetitionSummary {
   obs::MetricsSnapshot metrics;
   bool any_failed = false;
   std::string failure;
-
-  [[nodiscard]] double mean_aggregate() const {
-    return (write.empty() ? 0.0 : write.mean()) + (read.empty() ? 0.0 : read.mean());
-  }
 };
 
 /// Builds one run's metrics snapshot from the simulator, network and
@@ -60,17 +57,27 @@ obs::MetricsSnapshot snapshot_run_metrics(const sim::Scheduler& sched, const net
                                           const fdb::FieldIoStats* field = nullptr,
                                           const daos::Cluster* cluster = nullptr);
 
-/// Runs `reps` repetitions of `run` (a callable taking the repetition seed
-/// and returning a RunOutcome) and summarises.
+/// Seed of repetition `r` of a configuration whose base seed is `base_seed`.
+std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t r);
+
+/// Runs a bench's whole sweep: `cells` configurations x `reps` repetitions,
+/// where job (cell, rep) is `run(cell, rep)` — a callable that derives its
+/// configuration and seed from the two indices and returns a RunOutcome.
 ///
-/// Repetitions are distributed over `jobs` threads (default: the process-wide
-/// default_jobs(), i.e. the --jobs flag).  Each repetition's seed depends only
-/// on (base_seed, repetition index) and outcomes are folded in repetition
-/// order, so the summary is bit-identical at any job count — `run` must build
-/// all mutable state (scheduler, cluster) freshly from its seed.
-RepetitionSummary repeat(std::size_t reps, std::uint64_t base_seed,
-                         const std::function<RunOutcome(std::uint64_t seed)>& run,
-                         std::size_t jobs = default_jobs());
+/// Every job goes through one parallel_map over `jobs` threads, indexed
+/// cell-major, repetition-minor (with jobs == 1 that is also the execution
+/// order).  Each cell's outcomes fold in repetition order into its
+/// RepetitionSummary, so the grid is bit-identical at any job count — `run`
+/// must build all mutable state (scheduler, cluster) freshly from its seed.
+std::vector<RepetitionSummary> run_grid(
+    std::size_t cells, std::size_t reps, std::size_t jobs,
+    const std::function<RunOutcome(std::size_t cell, std::size_t rep)>& run);
+
+/// The paper's "best performing number of client processes per client
+/// node": the index of the candidate cell with the greatest mean write+read.
+/// A candidate whose repetitions all failed is skipped, and a later one wins
+/// only if strictly greater.  nullopt when every candidate is skipped.
+std::optional<std::size_t> best_cell(std::span<const RepetitionSummary> candidates);
 
 /// Executes IOR (pattern A, synchronous-bandwidth metric) on a fresh
 /// cluster built from `cfg` with the given seed.
@@ -80,23 +87,6 @@ RunOutcome run_ior_once(daos::ClusterConfig cfg, const ior::IorParams& params, s
 /// cluster; `pattern` is 'A' or 'B'.
 RunOutcome run_field_once(daos::ClusterConfig cfg, const FieldBenchParams& params, char pattern,
                           std::uint64_t seed);
-
-/// Runs `reps` repetitions for every candidate processes-per-node value and
-/// returns the summary of the best-performing one (by mean write+read), with
-/// the chosen ppn — the paper's "best performing number of client processes
-/// per client node" reporting.
-struct BestOfPpn {
-  std::size_t ppn = 0;
-  RepetitionSummary summary;
-};
-
-/// The (ppn x repetition) job grid is flattened and distributed over `jobs`
-/// threads as one sweep (not nested per-ppn pools), then folded in candidate
-/// order — like repeat(), bit-identical at any job count.
-BestOfPpn best_over_ppn(const std::vector<std::size_t>& ppn_candidates, std::size_t reps,
-                        std::uint64_t base_seed,
-                        const std::function<RunOutcome(std::size_t ppn, std::uint64_t seed)>& run,
-                        std::size_t jobs = default_jobs());
 
 /// A standard NEXTGenIO-like cluster config for the given node counts.
 daos::ClusterConfig testbed_config(std::size_t server_nodes, std::size_t client_nodes,

@@ -9,7 +9,8 @@
 // atomic counter until none is left.  Which thread runs a job never changes
 // its inputs or where its result lands — results come back ordered by job
 // index and callers fold serially in that order — so a sweep is bit-identical
-// at any thread count.
+// at any thread count.  Bench sweeps reach it through run_grid()
+// (harness/experiment.h); the chaos sweep calls it directly.
 //
 // jobs <= 1 (or n <= 1) never creates a thread: the calling thread runs every
 // job in index order (the strictly-serial replay mode, NWS_CHAOS_SEED and
@@ -28,12 +29,6 @@
 #include <vector>
 
 namespace nws::bench {
-
-/// Process-wide default parallelism for repeat()/best_over_ppn() and the
-/// bench binaries' --jobs flag.  Initially 1 (serial); resolve_jobs() /
-/// set_default_jobs() raise it.  0 is normalised to hardware_concurrency().
-std::size_t default_jobs();
-void set_default_jobs(std::size_t jobs);
 
 /// `jobs` == 0 -> hardware_concurrency() (minimum 1).
 std::size_t normalize_jobs(std::size_t jobs);

@@ -158,7 +158,7 @@ ContentionResult run_write_read_contention(daos::Cluster& cluster, ioserver::Pip
 /// Harness repetition wrapper: executes run_write_read_contention on a fresh
 /// cluster built from (cfg, seed) and reports the write path's global-timing
 /// bandwidth, the serving read bandwidth, and the folded metrics snapshot
-/// (snapshot_run_metrics + serving_metrics) — shaped for bench::repeat, so
+/// (snapshot_run_metrics + serving_metrics) — shaped for bench::run_grid, so
 /// sweeps are bit-identical at any --jobs count.
 bench::RunOutcome run_contention_once(daos::ClusterConfig cfg, ioserver::PipelineConfig write,
                                       ServingConfig serve, std::uint64_t seed);

@@ -9,7 +9,9 @@
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -303,39 +305,62 @@ TEST(FieldBenchTest, SingleClientNodePatternBSplitsProcesses) {
 }
 
 TEST(ExperimentTest, RepeatCollectsAllRepetitions) {
-  std::atomic<int> calls{0};  // repetitions may run on several pool threads
-  const RepetitionSummary summary = repeat(4, 1, [&](std::uint64_t seed) {
-    ++calls;
-    RunOutcome out;
-    out.write_bw = static_cast<double>(seed % 10);
-    out.read_bw = 1.0;
-    return out;
-  });
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(summary.write.count(), 4u);
-  EXPECT_FALSE(summary.any_failed);
+  std::atomic<int> calls{0};  // repetitions may run on several threads
+  const std::vector<RepetitionSummary> cells =
+      run_grid(2, 4, 4, [&](std::size_t cell, std::size_t rep) {
+        ++calls;
+        RunOutcome out;
+        out.write_bw = static_cast<double>(repetition_seed(cell, rep) % 10);
+        out.read_bw = 1.0;
+        return out;
+      });
+  EXPECT_EQ(calls, 8);
+  ASSERT_EQ(cells.size(), 2u);
+  for (const RepetitionSummary& summary : cells) {
+    EXPECT_EQ(summary.write.count(), 4u);
+    EXPECT_FALSE(summary.any_failed);
+  }
 }
 
 TEST(ExperimentTest, RepeatTracksFailures) {
-  const RepetitionSummary summary = repeat(3, 1, [&](std::uint64_t) {
+  const std::vector<RepetitionSummary> cells = run_grid(1, 3, 1, [&](std::size_t, std::size_t) {
     RunOutcome out;
     out.failed = true;
     out.failure = "injected";
     return out;
   });
-  EXPECT_TRUE(summary.any_failed);
-  EXPECT_TRUE(summary.write.empty());
-  EXPECT_EQ(summary.failure, "injected");
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_TRUE(cells[0].any_failed);
+  EXPECT_TRUE(cells[0].write.empty());
+  EXPECT_EQ(cells[0].failure, "injected");
 }
 
 TEST(ExperimentTest, BestOverPpnPicksHighestAggregate) {
-  const BestOfPpn best = best_over_ppn({8, 16, 32}, 2, 1, [](std::size_t ppn, std::uint64_t) {
-    RunOutcome out;
-    out.write_bw = ppn == 16 ? 10.0 : 1.0;  // 16 is the sweet spot
-    return out;
-  });
-  EXPECT_EQ(best.ppn, 16u);
-  EXPECT_DOUBLE_EQ(best.summary.write.mean(), 10.0);
+  const std::vector<std::size_t> ppns{8, 16, 32};
+  const std::vector<RepetitionSummary> cells =
+      run_grid(ppns.size(), 2, 1, [&](std::size_t cell, std::size_t) {
+        RunOutcome out;
+        out.write_bw = ppns[cell] == 16 ? 10.0 : 1.0;  // 16 is the sweet spot
+        return out;
+      });
+  const std::optional<std::size_t> best = best_cell(cells);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(ppns[*best], 16u);
+  EXPECT_DOUBLE_EQ(cells[*best].write.mean(), 10.0);
+
+  // An all-failed candidate is skipped, even ahead of an all-zero one; of
+  // two tied candidates the first wins; all-failed everywhere picks none.
+  const std::vector<RepetitionSummary> ties =
+      run_grid(4, 2, 1, [](std::size_t cell, std::size_t) {
+        RunOutcome out;
+        out.failed = cell == 0;
+        out.write_bw = cell == 1 ? 0.0 : 5.0;
+        out.read_bw = cell == 1 ? 0.0 : 1.0;
+        return out;
+      });
+  EXPECT_EQ(best_cell(ties), std::optional<std::size_t>(2));
+  EXPECT_EQ(best_cell(std::span(ties).first(2)), std::optional<std::size_t>(1));
+  EXPECT_EQ(best_cell(std::span(ties).first(1)), std::nullopt);
 }
 
 TEST(ExperimentTest, TestbedConfigMatchesPaperDeployments) {
@@ -452,10 +477,6 @@ TEST(RunPoolTest, LowestIndexedExceptionWinsAndSweepStillDrains) {
 TEST(RunPoolTest, NormalizeAndDefaultJobs) {
   EXPECT_GE(normalize_jobs(0), 1u);  // 0 -> hardware_concurrency, min 1
   EXPECT_EQ(normalize_jobs(3), 3u);
-  const std::size_t saved = default_jobs();
-  set_default_jobs(5);
-  EXPECT_EQ(default_jobs(), 5u);
-  set_default_jobs(saved);
 }
 
 // The --jobs determinism gate: real simulation runs through the production
@@ -538,42 +559,82 @@ TEST(RunPoolTest, SelfprofScenarioReportsBitIdenticalAcrossJobs) {
   expect_bit_identical_across_jobs(runs);
 }
 
+// Every cell summary of two grids, compared bit for bit.
+void expect_grids_bit_identical(const std::vector<RepetitionSummary>& a,
+                                const std::vector<RepetitionSummary>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const auto bits = [](const Summary& s) {
+    std::vector<std::uint64_t> out;
+    for (const double v : s.samples()) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    EXPECT_EQ(bits(a[c].write), bits(b[c].write)) << "cell " << c;
+    EXPECT_EQ(bits(a[c].read), bits(b[c].read)) << "cell " << c;
+    EXPECT_EQ(a[c].any_failed, b[c].any_failed) << "cell " << c;
+    EXPECT_EQ(a[c].failure, b[c].failure) << "cell " << c;
+    EXPECT_TRUE(a[c].metrics == b[c].metrics) << "cell " << c;
+  }
+}
+
 TEST(ExperimentTest, RepeatAndBestOverPpnIdenticalAtAnyJobCount) {
   ior::IorParams params;
   params.segments = 10;
   params.processes_per_node = 4;
-  const auto run = [&](std::uint64_t seed) { return run_ior_once(testbed_config(1, 1), params, seed); };
-  const RepetitionSummary serial = repeat(5, 42, run, 1);
-  const RepetitionSummary parallel = repeat(5, 42, run, 8);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.write.mean()),
-            std::bit_cast<std::uint64_t>(parallel.write.mean()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.read.mean()),
-            std::bit_cast<std::uint64_t>(parallel.read.mean()));
-
-  const auto run_ppn = [&](std::size_t ppn, std::uint64_t seed) {
-    ior::IorParams p = params;
-    p.processes_per_node = ppn;
-    return run_ior_once(testbed_config(1, 1), p, seed);
+  const auto run = [&](std::size_t, std::size_t rep) {
+    return run_ior_once(testbed_config(1, 1), params, repetition_seed(42, rep));
   };
-  const BestOfPpn best_serial = best_over_ppn({2, 4, 8}, 2, 7, run_ppn, 1);
-  const BestOfPpn best_parallel = best_over_ppn({2, 4, 8}, 2, 7, run_ppn, 8);
-  EXPECT_EQ(best_serial.ppn, best_parallel.ppn);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(best_serial.summary.mean_aggregate()),
-            std::bit_cast<std::uint64_t>(best_parallel.summary.mean_aggregate()));
+  const std::vector<RepetitionSummary> serial = run_grid(1, 5, 1, run);
+  const std::vector<RepetitionSummary> parallel = run_grid(1, 5, 8, run);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[0].write.mean()),
+            std::bit_cast<std::uint64_t>(parallel[0].write.mean()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[0].read.mean()),
+            std::bit_cast<std::uint64_t>(parallel[0].read.mean()));
+
+  // A multi-cell grid: ppn candidates 2, 4, 8 plus a cell whose repetitions
+  // all fail.  Summaries, the best candidate and the metrics folded over the
+  // cells in order are bit-identical at 1 and 8 jobs.
+  const std::size_t ppns[] = {2, 4, 8, 0};
+  const auto run_ppn = [&](std::size_t cell, std::size_t rep) {
+    if (ppns[cell] == 0) {
+      RunOutcome failed;
+      failed.failed = true;
+      failed.failure = "injected";
+      return failed;
+    }
+    ior::IorParams p = params;
+    p.processes_per_node = ppns[cell];
+    return run_ior_once(testbed_config(1, 1), p,
+                        repetition_seed(7 ^ (0x51ed2700ull * ppns[cell]), rep));
+  };
+  const std::vector<RepetitionSummary> grid_serial = run_grid(4, 2, 1, run_ppn);
+  const std::vector<RepetitionSummary> grid_parallel = run_grid(4, 2, 8, run_ppn);
+  expect_grids_bit_identical(grid_serial, grid_parallel);
+  EXPECT_TRUE(grid_serial[3].any_failed);
+  EXPECT_TRUE(grid_serial[3].write.empty());
+  EXPECT_EQ(best_cell(grid_serial), best_cell(grid_parallel));
+  obs::MetricsSnapshot folded_serial;
+  obs::MetricsSnapshot folded_parallel;
+  for (std::size_t c = 0; c < 4; ++c) {
+    folded_serial.fold(grid_serial[c].metrics);
+    folded_parallel.fold(grid_parallel[c].metrics);
+  }
+  EXPECT_FALSE(folded_serial.empty());
+  EXPECT_TRUE(folded_serial == folded_parallel);
 }
 
 TEST(ExperimentTest, MetricsSnapshotIdenticalAtAnyJobCount) {
-  // The folded MetricsSnapshot inherits run_pool's determinism guarantee:
+  // The folded MetricsSnapshot inherits run_grid's determinism guarantee:
   // counters, gauges and histogram sample order must be bit-identical
   // whether the repetitions ran serially or on 8 workers.
   FieldBenchParams params;
   params.ops_per_process = 3;
   params.processes_per_node = 4;
-  const auto run = [&](std::uint64_t seed) {
-    return run_field_once(testbed_config(1, 1), params, 'A', seed);
+  const auto run = [&](std::size_t, std::size_t rep) {
+    return run_field_once(testbed_config(1, 1), params, 'A', repetition_seed(99, rep));
   };
-  const RepetitionSummary serial = repeat(4, 99, run, 1);
-  const RepetitionSummary wide = repeat(4, 99, run, 8);
+  const RepetitionSummary serial = run_grid(1, 4, 1, run).front();
+  const RepetitionSummary wide = run_grid(1, 4, 8, run).front();
   ASSERT_FALSE(serial.any_failed);
   EXPECT_FALSE(serial.metrics.empty());
   EXPECT_TRUE(serial.metrics == wide.metrics);

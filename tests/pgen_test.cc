@@ -374,15 +374,15 @@ TEST(ServingTest, MetricsSnapshotCarriesServingCounters) {
 }
 
 TEST(ServingTest, RepetitionsAreBitIdenticalAtAnyJobCount) {
-  const auto run = [](std::uint64_t seed) {
+  const auto run = [](std::size_t, std::size_t rep) {
     ioserver::PipelineConfig write = small_pipeline();
     ServingConfig serve;
     serve.consumers = 4;
     serve.admission.max_in_flight = 2;
-    return run_contention_once(small_cluster(2), write, serve, seed);
+    return run_contention_once(small_cluster(2), write, serve, bench::repetition_seed(99, rep));
   };
-  const bench::RepetitionSummary serial = bench::repeat(4, 99, run, 1);
-  const bench::RepetitionSummary pooled = bench::repeat(4, 99, run, 3);
+  const bench::RepetitionSummary serial = bench::run_grid(1, 4, 1, run).front();
+  const bench::RepetitionSummary pooled = bench::run_grid(1, 4, 3, run).front();
   ASSERT_FALSE(serial.any_failed) << serial.failure;
   ASSERT_FALSE(pooled.any_failed) << pooled.failure;
   EXPECT_EQ(serial.write.samples(), pooled.write.samples());
