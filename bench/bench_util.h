@@ -45,6 +45,12 @@ inline std::vector<std::size_t> size_list(const Cli& cli, const std::string& nam
   return normalize_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
 }
 
+/// One --check-shapes claim: prints whether it held and returns `held`.
+inline bool check_shape(bool held, const std::string& claim) {
+  std::cout << (held ? "shape held: " : "SHAPE BROKEN: ") << claim << "\n";
+  return held;
+}
+
 /// Per-binary driver for the --trace/--report artifacts.  Construct right
 /// after Cli::parse (before any runs), feed it metrics snapshots and result
 /// tables along the way, and call finish() as the binary's last act:

@@ -12,6 +12,8 @@
 //   * pattern B's write+read aggregated bandwidth is comparable to pattern
 //     A's (no degradation from mixing readers with writers);
 //   * container use makes no substantial difference at high contention.
+#include <algorithm>
+
 #include "bench_util.h"
 #include "harness/experiment.h"
 
@@ -23,6 +25,7 @@ int main(int argc, char** argv) {
   cli.add_flag("servers", "1,2,4,8", "server node counts");
   cli.add_flag("ops", "30", "field I/O operations per process (paper: 2000)");
   cli.add_flag("ppn", "32", "processes per client node");
+  cli.add_flag("check-shapes", "false", "exit 1 unless the indexed modes bend past 4 server nodes");
   if (!cli.parse(argc, argv)) return 0;
   const std::size_t jobs = bench::resolve_jobs(cli);
   bench::BenchObs obs(cli, "fig4_fieldio_high_contention");
@@ -57,6 +60,7 @@ int main(int argc, char** argv) {
                                      bench::repetition_seed(cell_seed, rep));
       });
 
+  std::vector<double> per_engine(cells.size(), 0.0);  // aggregated/engine; 0 if the cell failed
   for (std::size_t cell = 0; cell < cells.size(); ++cell) {
     const auto [pattern, mode, s] = grid[cell];
     const bench::RepetitionSummary& summary = cells[cell];
@@ -68,12 +72,42 @@ int main(int argc, char** argv) {
     }
     const double w = summary.write.empty() ? 0.0 : summary.write.mean();
     const double r = summary.read.empty() ? 0.0 : summary.read.mean();
+    per_engine[cell] = (w + r) / static_cast<double>(2 * s);
     table.add_row({std::string(1, pattern), fdb::mode_name(mode), std::to_string(s), strf("%.1f", w),
-                   strf("%.1f", r), strf("%.2f", (w + r) / static_cast<double>(2 * s))});
+                   strf("%.1f", r), strf("%.2f", per_engine[cell])});
   }
 
   std::cout << "paper: no-index ~2.5w/3.75r per engine; indexed modes bend past 4 server nodes;\n"
                "       pattern B aggregated ~= pattern A aggregated\n";
   bench::emit(table, "Fig. 4: Field I/O, high contention on the shared index KV", cli, obs);
-  return obs.finish();
+  const int rc = obs.finish();
+  if (!cli.get_bool("check-shapes")) return rc;
+
+  // The shared index KV serialises the indexed modes: pattern A's aggregated
+  // bandwidth per engine drops by at least a fifth from 4 server nodes to
+  // the largest count, while no-index, which never touches it, holds within
+  // a tenth.
+  const std::size_t top = servers.empty() ? 0 : *std::max_element(servers.begin(), servers.end());
+  if (top <= 4 || std::find(servers.begin(), servers.end(), 4) == servers.end()) {
+    bench::check_shape(false, "the bend needs --servers with 4 and a count above 4");
+    return 1;
+  }
+  const auto at = [&](fdb::Mode mode, std::size_t s) {
+    const auto it = std::find(grid.begin(), grid.end(), std::make_tuple('A', mode, s));
+    return per_engine[static_cast<std::size_t>(it - grid.begin())];
+  };
+  bool held = true;
+  for (const fdb::Mode mode : {fdb::Mode::full, fdb::Mode::no_containers, fdb::Mode::no_index}) {
+    const bool indexed = mode != fdb::Mode::no_index;
+    const double before = at(mode, 4);
+    const double after = at(mode, top);
+    const bool ok =
+        before > 0.0 && after > 0.0 && (indexed ? after <= 0.8 * before : after >= 0.9 * before);
+    held = bench::check_shape(ok, strf("pattern A %s %s past 4 server nodes: %.2f -> %.2f "
+                                       "aggregated/engine at %zu",
+                                       fdb::mode_name(mode), indexed ? "bends (<= 0.8x)" : "holds (>= 0.9x)",
+                                       before, after, top)) &&
+           held;
+  }
+  return held ? rc : 1;
 }

@@ -47,7 +47,7 @@ struct Campaign {
   bool meta = false;  // patch writes + readdirs + unlinks
 };
 
-std::string field_name(std::uint32_t op) { return "f" + std::to_string(op); }
+std::string field_name(std::uint32_t op) { return std::to_string(op).insert(0, 1, 'f'); }
 
 std::string field_canonical(std::uint32_t rank, std::uint32_t op) {
   return "fc" + std::to_string(rank) + "/" + field_name(op);

@@ -11,7 +11,8 @@
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
 # schema regression in the observability layer fails CI, not Perfetto.  The
-# plain pass also runs perfbench's self-test (python3 stdlib only).
+# plain pass also runs perfbench's self-test (python3 stdlib only) and the
+# fig4/fig5 paper-shape checks (--check-shapes).
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
 # -DNWS_COVERAGE=ON, reruns the test suite and enforces the per-directory
@@ -100,6 +101,20 @@ check_artifacts() {
   rm -rf "$scratch"
 }
 
+# Runs fig4 and fig5 with --check-shapes at the smallest scale where the
+# paper's shapes hold (one repetition, 10 ops per process): the indexed modes
+# bend past 4 server nodes under high contention; full-mode pattern A fails
+# beyond 8 server nodes and no-containers pattern B is about twice full mode
+# under low contention.  Either bench exits 1 when a shape breaks.
+check_shapes() {
+  local build_dir="$1"
+  echo "==> paper shapes ($build_dir, fig4/fig5 --check-shapes)"
+  "$build_dir"/bench/fig4_fieldio_high_contention --check-shapes --servers=4,8 --reps=1 --ops=10 \
+    --jobs="$jobs" | grep -E '^(shape held|SHAPE BROKEN)'
+  "$build_dir"/bench/fig5_fieldio_low_contention --check-shapes --servers=8,10 --reps=1 --ops=10 \
+    --jobs="$jobs" | grep -E '^(shape held|SHAPE BROKEN)'
+}
+
 if [[ $run_lint -eq 1 ]]; then
   echo "==> nwslint (static analysis: determinism, layering, obs schema, status discipline)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DNWS_WERROR=ON
@@ -114,6 +129,7 @@ if [[ $run_plain -eq 1 ]]; then
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
   echo "==> perfbench self-test (gprof layer bucketing)"
   python3 perfbench/test_layers.py
+  check_shapes build
   check_artifacts build
 fi
 

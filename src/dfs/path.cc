@@ -22,7 +22,7 @@ Result<std::string> normalize_path(const std::string& path) {
     out += component;
     i = j;
   }
-  if (out.empty()) out = "/";
+  if (out.empty()) out.push_back('/');
   return out;
 }
 

@@ -1,5 +1,8 @@
 #include "harness/experiment.h"
 
+#include <atomic>
+#include <utility>
+
 #include "harness/run_pool.h"
 #include "obs/trace.h"
 
@@ -12,24 +15,35 @@ std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t r) {
 std::vector<RepetitionSummary> run_grid(
     std::size_t cells, std::size_t reps, std::size_t jobs,
     const std::function<RunOutcome(std::size_t cell, std::size_t rep)>& run) {
-  const std::vector<RunOutcome> outcomes = parallel_map(
-      cells * reps, jobs, [&](std::size_t job) { return run(job / reps, job % reps); });
-  // Serial fold in job-index order: each cell's repetitions accumulate in
-  // repetition order, whichever thread ran them.  Sealing lets later const
-  // readers share the summaries race-free.
+  // Each outcome waits in its slot only until its cell's last repetition
+  // lands; the thread that lands it folds the whole cell in repetition
+  // order and frees the cell's outcomes, so no cell's outcomes outlive its
+  // fold.  The acq_rel count makes every earlier repetition's slot visible
+  // to that thread, and each cell folds into its own summary, so the grid
+  // is the same at any job count.
+  std::vector<RunOutcome> outcomes(cells * reps);
+  std::vector<std::atomic<std::size_t>> landed(cells);
   std::vector<RepetitionSummary> summaries(cells);
-  for (std::size_t job = 0; job < outcomes.size(); ++job) {
-    const RunOutcome& outcome = outcomes[job];
-    RepetitionSummary& summary = summaries[job / reps];
-    if (outcome.failed) {
-      summary.any_failed = true;
-      summary.failure = outcome.failure;
-      continue;
+  // parallel_map needs a value per job; the outcomes travel through the slots.
+  parallel_map(cells * reps, jobs, [&](std::size_t job) {
+    const std::size_t cell = job / reps;
+    outcomes[job] = run(cell, job % reps);
+    if (landed[cell].fetch_add(1, std::memory_order_acq_rel) + 1 < reps) return 0;
+    RepetitionSummary& summary = summaries[cell];
+    for (std::size_t r = 0; r < reps; ++r) {
+      const RunOutcome outcome = std::exchange(outcomes[cell * reps + r], RunOutcome{});
+      if (outcome.failed) {
+        summary.any_failed = true;
+        summary.failure = outcome.failure;
+        continue;
+      }
+      summary.write.add(outcome.write_bw);
+      summary.read.add(outcome.read_bw);
+      summary.metrics.fold(outcome.metrics);
     }
-    summary.write.add(outcome.write_bw);
-    summary.read.add(outcome.read_bw);
-    summary.metrics.fold(outcome.metrics);
-  }
+    return 0;
+  });
+  // Sealing lets later const readers share the summaries race-free.
   for (RepetitionSummary& summary : summaries) {
     summary.write.seal();
     summary.read.seal();

@@ -67,8 +67,10 @@ std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t r);
 /// Every job goes through one parallel_map over `jobs` threads, indexed
 /// cell-major, repetition-minor (with jobs == 1 that is also the execution
 /// order).  Each cell's outcomes fold in repetition order into its
-/// RepetitionSummary, so the grid is bit-identical at any job count — `run`
-/// must build all mutable state (scheduler, cluster) freshly from its seed.
+/// RepetitionSummary as soon as its last repetition lands, and are freed
+/// then, so only the cells in flight hold outcomes.  The grid is
+/// bit-identical at any job count — `run` must build all mutable state
+/// (scheduler, cluster) freshly from its seed.
 std::vector<RepetitionSummary> run_grid(
     std::size_t cells, std::size_t reps, std::size_t jobs,
     const std::function<RunOutcome(std::size_t cell, std::size_t rep)>& run);

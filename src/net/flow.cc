@@ -16,10 +16,9 @@ constexpr double kRateEpsilon = 1e-6;
 LinkId FlowScheduler::add_link(Link link) {
   if (link.raw_capacity <= 0.0) throw std::invalid_argument("link capacity must be positive: " + link.name);
   links_.push_back(std::move(link));
-  link_flow_count_.push_back(0);
+  on_link_.emplace_back();
   residual_.push_back(0.0);
   unfrozen_on_link_.push_back(0);
-  link_begin_.push_back(0);
   active_pos_.push_back(0);
   return static_cast<LinkId>(links_.size() - 1);
 }
@@ -29,26 +28,35 @@ void FlowScheduler::start_flow(std::vector<LinkId> path, double bytes, double ra
   for (const LinkId id : path) {
     if (id >= links_.size()) throw std::out_of_range("flow path references unknown link");
   }
-  advance_progress();
+  const auto index = static_cast<std::uint32_t>(flows_.size());
   Flow flow;
   flow.path = std::move(path);
-  flow.remaining = bytes;
+  flow.slot.resize(flow.path.size());
   flow.total = bytes;
   flow.cap = rate_cap;
   flow.waiter = h;
-  flows_.push_back(std::move(flow));
-  for (const LinkId id : flows_.back().path) {
-    if (link_flow_count_[id]++ == 0) {
+  for (std::uint32_t hop = 0; hop < flow.path.size(); ++hop) {
+    const LinkId id = flow.path[hop];
+    std::vector<Incidence>& list = on_link_[id];
+    if (list.empty()) {
       active_pos_[id] = active_links_.size();
       active_links_.push_back(id);
     }
+    flow.slot[hop] = static_cast<std::uint32_t>(list.size());
+    list.push_back({index, hop});
   }
   if (obs::TraceRecorder* tr = obs::current_trace()) {
     // Flow lifetimes render on a synthetic "network" process; a rotating
     // lane keeps concurrent flows on separate rows in the viewer.
-    flows_.back().span =
-        tr->begin("flow", "net", obs::Actor{obs::kNetworkNode, trace_lane_++ % 32}, 0, bytes);
+    flow.span = tr->begin("flow", "net", obs::Actor{obs::kNetworkNode, trace_lane_++ % 32}, 0, bytes);
   }
+  flows_.push_back(std::move(flow));
+  // Stalled until the rate update in settle() gives it a rate.
+  const sim::TimePoint now = sched_.now();
+  remaining_.push_back(bytes);
+  rate_.push_back(0.0);
+  stamp_.push_back(now);
+  finish_.push_back(bytes <= kCompletionEpsilon ? now : kNever);
   ++stats_.flows_started;
   stats_.peak_concurrent = std::max(stats_.peak_concurrent, flows_.size());
   settle(flows_.size() - 1);
@@ -58,7 +66,6 @@ void FlowScheduler::set_capacity_factor(LinkId id, double factor) {
   if (id >= links_.size()) throw std::out_of_range("set_capacity_factor on unknown link");
   if (factor < 0.0) throw std::invalid_argument("negative link capacity factor");
   capacity_modulated_ = true;
-  advance_progress();
   links_[id].capacity_factor = factor;
   if (!flows_.empty()) {
     changes_since_full_ = 0;  // force an exact solve: capacities moved under us
@@ -67,20 +74,29 @@ void FlowScheduler::set_capacity_factor(LinkId id, double factor) {
   settle();
 }
 
-void FlowScheduler::advance_progress() {
+void FlowScheduler::set_rate(std::size_t i, double rate) {
   const sim::TimePoint now = sched_.now();
-  const double dt = sim::to_seconds(now - last_update_);
-  last_update_ = now;
-  if (dt <= 0.0) return;
-  for (Flow& f : flows_) {
-    f.remaining -= f.rate * dt;
-    if (f.remaining < 0.0) f.remaining = 0.0;
+  const double left = remaining_[i] - rate_[i] * sim::to_seconds(now - stamp_[i]);
+  remaining_[i] = left < 0.0 ? 0.0 : left;
+  rate_[i] = rate;
+  stamp_[i] = now;
+  if (remaining_[i] <= kCompletionEpsilon) {
+    finish_[i] = now;
+    return;
+  }
+  // Rounded up to a whole nanosecond, at least one ahead, so the timer never
+  // re-fires at the current instant.
+  const double ns = rate > 0.0 ? std::ceil(remaining_[i] / rate * 1e9) : HUGE_VAL;
+  if (ns >= static_cast<double>(kNever - now)) {
+    finish_[i] = kNever;  // stalled (or beyond the clock's range)
+  } else {
+    finish_[i] = now + std::max<sim::Duration>(1, static_cast<sim::Duration>(ns));
   }
 }
 
 bool FlowScheduler::links_private_to(const Flow& f) const {
   for (const LinkId id : f.path) {
-    if (link_flow_count_[id] != 1) return false;
+    if (on_link_[id].size() != 1) return false;
   }
   return true;
 }
@@ -93,19 +109,18 @@ double FlowScheduler::solo_rate(const Flow& f) const {
   return rate;
 }
 
-void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
+void FlowScheduler::maybe_recompute(std::size_t added, bool shared_departure) {
   if (flows_.size() <= lazy_threshold_) {
     // Exact regime.  Changes disjoint from every other flow cannot move any
     // other flow's max-min rate: an arrival whose links carry nothing else
     // just takes its solo bottleneck rate, and a departure that left its
     // links empty needs no adjustment at all.  Everything else re-solves.
-    const bool arrival_disjoint = added != nullptr && links_private_to(*added);
-    if (!shared_departure && (added == nullptr || arrival_disjoint)) {
-      changes_since_full_ = 0;
-      if (added != nullptr) added->rate = solo_rate(*added);
+    changes_since_full_ = 0;
+    const bool arrival_disjoint = added != kNoFlow && links_private_to(flows_[added]);
+    if (!shared_departure && (added == kNoFlow || arrival_disjoint)) {
+      if (added != kNoFlow) set_rate(added, solo_rate(flows_[added]));
       return;
     }
-    changes_since_full_ = 0;
     recompute_rates();
     return;
   }
@@ -118,12 +133,15 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
     recompute_rates();
     return;
   }
-  if (added != nullptr) {
-    added->rate = fair_share_floor_ > 0.0 ? std::min(added->cap, fair_share_floor_) : added->cap;
-    if (!std::isfinite(added->rate)) added->rate = fair_share_floor_;
-    if (added->rate <= 0.0) {
+  if (added != kNoFlow) {
+    const double cap = flows_[added].cap;
+    double rate = fair_share_floor_ > 0.0 ? std::min(cap, fair_share_floor_) : cap;
+    if (!std::isfinite(rate)) rate = fair_share_floor_;
+    if (rate <= 0.0) {
       changes_since_full_ = 0;
       recompute_rates();
+    } else {
+      set_rate(added, rate);
     }
   }
 }
@@ -133,27 +151,20 @@ void FlowScheduler::recompute_rates() {
   const std::size_t n_flows = flows_.size();
   if (n_flows == 0) return;
 
-  // Link->flow incidence over the active links (start_flow/settle keep that
-  // set on link_flow_count_ 0<->1 transitions), as CSR: link l's flows are
-  // incidence_[link_begin_[l] .. + link_flow_count_[l]).  A flow crossing a
-  // link twice is listed twice, as it is counted twice.  The fill cursor is
-  // unfrozen_on_link_, which so ends equal to link_flow_count_.  The scratch
-  // vectors are members so a steady-state solve performs no allocation.
-  std::size_t n_incidences = 0;
-  for (const LinkId l : active_links_) {
-    link_begin_[l] = n_incidences;
-    n_incidences += link_flow_count_[l];
-    residual_[l] = links_[l].effective_capacity(link_flow_count_[l]);
-    unfrozen_on_link_[l] = 0;
-  }
-  incidence_.resize(n_incidences);
+  // Every active link's flows are its on_link_ list (a flow crossing a link
+  // twice is listed twice, as it is counted twice); the fill counts them down
+  // in unfrozen_on_link_.  The scratch vectors are members so a steady-state
+  // solve performs no allocation.
   double cap_floor = std::numeric_limits<double>::infinity();  // <= every unfrozen cap
-  for (std::size_t i = 0; i < n_flows; ++i) {
-    for (const LinkId l : flows_[i].path) incidence_[link_begin_[l] + unfrozen_on_link_[l]++] = i;
-    cap_floor = std::min(cap_floor, flows_[i].cap);
+  for (const LinkId l : active_links_) {
+    const std::size_t n = on_link_[l].size();
+    residual_[l] = links_[l].effective_capacity(n);
+    unfrozen_on_link_[l] = n;
   }
+  for (const Flow& f : flows_) cap_floor = std::min(cap_floor, f.cap);
   live_links_.assign(active_links_.begin(), active_links_.end());
   frozen_.assign(n_flows, 0);
+  new_rate_.resize(n_flows);
 
   // Progressive filling: raise every unfrozen flow's rate uniformly until a
   // link saturates or a flow hits its own cap; freeze and repeat.
@@ -162,7 +173,7 @@ void FlowScheduler::recompute_rates() {
   const auto freeze = [&](std::size_t i) {
     frozen_[i] = 1;
     ++n_frozen;
-    flows_[i].rate = level;
+    new_rate_[i] = level;
     for (const LinkId id : flows_[i].path) --unfrozen_on_link_[id];
   };
   // Finite caps of the flows unfrozen so far, ascending, built only once the
@@ -212,9 +223,8 @@ void FlowScheduler::recompute_rates() {
     }
     const std::size_t frozen_before = n_frozen;
     for (const LinkId l : saturated_) {
-      const std::size_t begin = link_begin_[l];
-      for (std::size_t k = begin; k < begin + link_flow_count_[l]; ++k) {
-        if (!frozen_[incidence_[k]]) freeze(incidence_[k]);
+      for (const Incidence& e : on_link_[l]) {
+        if (!frozen_[e.flow]) freeze(e.flow);
       }
     }
     // Flows at their cap: a prefix of the unfrozen ones in cap order.
@@ -236,67 +246,95 @@ void FlowScheduler::recompute_rates() {
     }
   }
 
+  // Only flows whose rate moved are charged their progress and re-stamped.
   double floor = std::numeric_limits<double>::infinity();
-  for (const Flow& f : flows_) {
-    if (f.rate > 0.0) floor = std::min(floor, f.rate);
+  for (std::size_t i = 0; i < n_flows; ++i) {
+    const double rate = new_rate_[i];
+    if (rate > 0.0) floor = std::min(floor, rate);
+    if (rate != rate_[i]) set_rate(i, rate);
   }
   fair_share_floor_ = std::isfinite(floor) ? floor : 0.0;
 }
 
+bool FlowScheduler::remove_flow(std::size_t i) {
+  bool shared = false;
+  Flow& gone = flows_[i];
+  for (std::size_t hop = 0; hop < gone.path.size(); ++hop) {
+    const LinkId id = gone.path[hop];
+    std::vector<Incidence>& list = on_link_[id];
+    // Swap-remove this hop's entry; the entry moved into its slot (possibly
+    // another hop of this same flow) learns its new slot.
+    const Incidence moved = list.back();
+    list[gone.slot[hop]] = moved;
+    flows_[moved.flow].slot[moved.hop] = gone.slot[hop];
+    list.pop_back();
+    if (!list.empty()) {
+      shared = true;
+    } else {
+      // Swap-remove from the active set; its order affects no result.
+      const LinkId last = active_links_.back();
+      active_links_[active_pos_[id]] = last;
+      active_pos_[last] = active_pos_[id];
+      active_links_.pop_back();
+    }
+  }
+  const std::size_t back = flows_.size() - 1;
+  if (i != back) {
+    flows_[i] = std::move(flows_[back]);
+    const Flow& moved = flows_[i];
+    for (std::size_t hop = 0; hop < moved.path.size(); ++hop) {
+      on_link_[moved.path[hop]][moved.slot[hop]].flow = static_cast<std::uint32_t>(i);
+    }
+    remaining_[i] = remaining_[back];
+    rate_[i] = rate_[back];
+    stamp_[i] = stamp_[back];
+    finish_[i] = finish_[back];
+  }
+  flows_.pop_back();
+  remaining_.pop_back();
+  rate_.pop_back();
+  stamp_.pop_back();
+  finish_.pop_back();
+  return shared;
+}
+
 void FlowScheduler::settle(std::size_t added_idx) {
   completion_timer_.cancel();
+  const sim::TimePoint now = sched_.now();
 
-  // Complete flows that are done as of now, tracking where the just-added
+  // Complete flows whose finish has come, tracking where the just-added
   // flow ends up under swap-removal and whether any departure left other
   // flows behind on a shared link (those flows' rates may now rise).
   bool completed_any = false;
   bool shared_departure = false;
   for (std::size_t i = 0; i < flows_.size();) {
-    if (flows_[i].remaining <= kCompletionEpsilon) {
-      for (const LinkId id : flows_[i].path) {
-        if (--link_flow_count_[id] > 0) {
-          shared_departure = true;
-        } else {
-          // Swap-remove from the active set; its order affects no result.
-          const LinkId moved = active_links_.back();
-          active_links_[active_pos_[id]] = moved;
-          active_pos_[moved] = active_pos_[id];
-          active_links_.pop_back();
-        }
-      }
-      const auto waiter = flows_[i].waiter;
-      if (flows_[i].span != 0) {
-        if (obs::TraceRecorder* tr = obs::current_trace()) tr->end(flows_[i].span);
-      }
-      stats_.bytes_delivered += flows_[i].total;
-      ++stats_.flows_completed;
-      if (i == added_idx) {
-        added_idx = kNoFlow;  // the arrival itself finished instantly
-      } else if (flows_.size() - 1 == added_idx) {
-        added_idx = i;  // the arrival is the back element being swapped in
-      }
-      flows_[i] = std::move(flows_.back());
-      flows_.pop_back();
-      completed_any = true;
-      sched_.schedule_handle(sched_.now(), waiter);
-    } else {
+    if (finish_[i] > now) {
       ++i;
+      continue;
     }
+    const auto waiter = flows_[i].waiter;
+    if (flows_[i].span != 0) {
+      if (obs::TraceRecorder* tr = obs::current_trace()) tr->end(flows_[i].span);
+    }
+    stats_.bytes_delivered += flows_[i].total;
+    ++stats_.flows_completed;
+    if (i == added_idx) {
+      added_idx = kNoFlow;  // the arrival itself finished instantly
+    } else if (flows_.size() - 1 == added_idx) {
+      added_idx = i;  // the arrival is the back element being swapped in
+    }
+    shared_departure = remove_flow(i) || shared_departure;
+    completed_any = true;
+    sched_.schedule_handle(now, waiter);
   }
   // Exactly one rate update per settle, even when an arrival and one or more
   // completions coincide at the same instant (this used to run the solver —
   // and count a rate_recomputation — twice for that case).
-  Flow* added = added_idx == kNoFlow ? nullptr : &flows_[added_idx];
-  if (completed_any || added != nullptr) maybe_recompute(added, shared_departure);
+  if (completed_any || added_idx != kNoFlow) maybe_recompute(added_idx, shared_departure);
   if (flows_.empty()) return;
 
-  // Earliest next completion (seconds), rounded up to a whole nanosecond so
-  // the timer never re-fires at the current instant.
-  double min_time = std::numeric_limits<double>::infinity();
-  for (const Flow& f : flows_) {
-    if (f.rate > 0.0) min_time = std::min(min_time, f.remaining / f.rate);
-  }
-  if (!std::isfinite(min_time)) {
+  const sim::TimePoint next = *std::min_element(finish_.begin(), finish_.end());
+  if (next == kNever) {
     // Every active flow is stalled.  Under capacity modulation this is an
     // outage window: a scheduled restore event will recompute rates, so no
     // completion timer is needed (and a genuine hang still surfaces as a
@@ -304,27 +342,30 @@ void FlowScheduler::settle(std::size_t added_idx) {
     if (capacity_modulated_) return;
     throw std::logic_error("active flows with zero rate: link capacities exhausted");
   }
-  auto delta = static_cast<sim::Duration>(std::ceil(min_time * 1e9));
-  if (delta < 1) delta = 1;
-  completion_timer_ = sched_.schedule_callback(sched_.now() + delta, [this] {
-    advance_progress();
-    settle();
-  });
+  completion_timer_ = sched_.schedule_callback(std::max(next, now + 1), [this] { settle(); });
 }
 
-std::vector<double> FlowScheduler::current_rates() const {
-  std::vector<double> rates;
-  rates.reserve(flows_.size());
-  for (const Flow& f : flows_) rates.push_back(f.rate);
-  return rates;
-}
-
-std::size_t FlowScheduler::flows_on_link(LinkId id) const {
-  std::size_t n = 0;
-  for (const Flow& f : flows_) {
-    n += static_cast<std::size_t>(std::count(f.path.begin(), f.path.end(), id));
+bool FlowScheduler::incidence_consistent() const {
+  std::vector<std::size_t> crossings(links_.size(), 0);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& f = flows_[i];
+    if (f.slot.size() != f.path.size()) return false;
+    for (std::size_t hop = 0; hop < f.path.size(); ++hop) {
+      const std::vector<Incidence>& list = on_link_[f.path[hop]];
+      if (f.slot[hop] >= list.size()) return false;
+      const Incidence& e = list[f.slot[hop]];
+      if (e.flow != i || e.hop != hop) return false;
+      ++crossings[f.path[hop]];
+    }
   }
-  return n;
+  std::size_t active = 0;
+  for (LinkId l = 0; l < links_.size(); ++l) {
+    if (on_link_[l].size() != crossings[l]) return false;
+    if (on_link_[l].empty()) continue;
+    ++active;
+    if (active_pos_[l] >= active_links_.size() || active_links_[active_pos_[l]] != l) return false;
+  }
+  return active == active_links_.size();
 }
 
 }  // namespace nws::net

@@ -16,18 +16,32 @@
 // simulation approach: accurate steady-state sharing without per-packet
 // cost.
 //
-// The fill is driven by link->flow incidence.  Each solve lists the flows of
-// every active link once (CSR); each round then touches only the links that
-// still carry unfrozen flows, and a link that saturates freezes exactly the
-// flows listed on it.  Flow caps enter through a lower bound on the unfrozen
-// caps and, once that bound could decide a round, through the caps in
-// ascending order.  A round costs O(live links + flows frozen in it), not
+// The solver keeps its state between events.  Each link holds the list of
+// (flow, hop) entries crossing it, and each flow its slot in every list of
+// its path: an arrival appends, a completion swap-removes its own entries
+// and renames those of the flow moved into its index.  A link's flow count
+// is its list size, so a solve reads the incidence as it stands.
+//
+// The fill is driven by that incidence: each round touches only the links
+// that still carry unfrozen flows, and a link that saturates freezes exactly
+// the flows listed on it.  Flow caps enter through a lower bound on the
+// unfrozen caps and, once that bound could decide a round, through the caps
+// in ascending order.  A round costs O(live links + flows frozen in it), not
 // O(flows x path).  The rates are bit-identical to a plain round-by-round
 // fill that re-scans every unfrozen flow's path: saturation depends only on
 // link residuals, which freezing leaves unchanged; links without unfrozen
 // flows only ever subtract zero; and since rounding is monotone,
 // min_i(cap_i - level) equals min_i(cap_i) - level exactly.  Every
 // floating-point operation that sets a rate is the same as in that fill.
+//
+// Progress is event-driven.  Each flow's remaining bytes are valid as of its
+// stamp (the instant its rate last changed), and its projected finish is
+// that stamp plus remaining / rate, rounded up to a whole nanosecond.  A
+// solve writes its rates to scratch and re-stamps only the flows whose rate
+// differs bit for bit; the others keep remaining, stamp and finish
+// untouched.  A flow completes once its finish is at or before now, and the
+// completion timer is armed at the earliest finish, so an event that moves
+// no rate touches no flow's progress: it only scans the finish array.
 #pragma once
 
 #include <coroutine>
@@ -111,28 +125,41 @@ class FlowScheduler {
 
   /// Degrades (or restores) a link's capacity at the current simulated time:
   /// effective capacity is multiplied by `factor` (0 = outage) from now on.
-  /// Active flows' progress is settled first and rates are recomputed, so a
-  /// mid-transfer change is accounted exactly.  Fault injection entry point.
+  /// Rates are recomputed at once, and a flow whose rate changes is charged
+  /// its progress at the old rate first, so a mid-transfer change is
+  /// accounted exactly.  Fault injection entry point.
   void set_capacity_factor(LinkId id, double factor);
 
   /// Current max-min rate of every active flow (test hook; bytes/s).
-  [[nodiscard]] std::vector<double> current_rates() const;
+  [[nodiscard]] std::vector<double> current_rates() const { return rate_; }
 
-  /// Number of active flows currently crossing `id` (test hook).
-  [[nodiscard]] std::size_t flows_on_link(LinkId id) const;
+  /// Number of active flows currently crossing `id`, a flow crossing it
+  /// twice counted twice: the size of the link's maintained incidence list.
+  [[nodiscard]] std::size_t flows_on_link(LinkId id) const { return on_link_.at(id).size(); }
+
+  /// Test hook: true when the maintained incidence matches the active flows'
+  /// paths — every list entry points at its flow's hop on that link and back
+  /// through the flow's slot, each list holds as many entries as paths cross
+  /// the link, and the active-link set is exactly the links with entries.
+  [[nodiscard]] bool incidence_consistent() const;
 
  private:
   struct Flow {
     std::vector<LinkId> path;
-    double remaining = 0.0;  // bytes
-    double total = 0.0;      // bytes
-    double rate = 0.0;       // bytes/s
-    double cap = 0.0;        // bytes/s
+    std::vector<std::uint32_t> slot;  // slot[h]: this flow's entry in on_link_[path[h]]
+    double total = 0.0;               // bytes
+    double cap = 0.0;                 // bytes/s
     std::coroutine_handle<> waiter;
     obs::TraceRecorder::Token span = 0;  // lifetime span (0 = tracing off)
   };
+  /// One flow crossing a link: the flow's index and the hop of its path.
+  struct Incidence {
+    std::uint32_t flow;
+    std::uint32_t hop;
+  };
 
   static constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
+  static constexpr sim::TimePoint kNever = std::numeric_limits<sim::TimePoint>::max();
 
   /// Accounts a transfer that completed in await_ready (zero bytes or an
   /// empty path): it never becomes an active Flow but did start and finish.
@@ -143,46 +170,57 @@ class FlowScheduler {
   }
 
   void start_flow(std::vector<LinkId> path, double bytes, double rate_cap, std::coroutine_handle<> h);
-  /// Applies progress for the elapsed interval since the last update.
-  void advance_progress();
-  /// Recomputes all flow rates (progressive-filling max-min, driven by
-  /// link->flow incidence; see the file comment for cost and exactness).
+  /// Changes flow `i`'s rate now: charges the bytes moved since its stamp,
+  /// re-stamps it and projects its finish.
+  void set_rate(std::size_t i, double rate);
+  /// Recomputes all flow rates (progressive-filling max-min, driven by the
+  /// maintained incidence; see the file comment for cost and exactness).
   void recompute_rates();
   /// Rate update after the active set changed: exact solve (with disjoint
   /// fast paths) below the lazy threshold, bounded-staleness above it.
-  /// `added` is the flow that just arrived (may be null); `shared_departure`
-  /// means a completed flow left other flows behind on one of its links.
-  void maybe_recompute(Flow* added, bool shared_departure);
+  /// `added` indexes the flow that just arrived (kNoFlow if none);
+  /// `shared_departure` means a completed flow left other flows behind on
+  /// one of its links.
+  void maybe_recompute(std::size_t added, bool shared_departure);
   /// True if no other active flow shares a link with `f`.
   [[nodiscard]] bool links_private_to(const Flow& f) const;
   /// Max-min rate of a flow alone on every link of its path.
   [[nodiscard]] double solo_rate(const Flow& f) const;
-  /// Completes any finished flows, performs at most ONE rate update for the
-  /// combined arrival/departure change at this instant, and re-arms the
-  /// completion timer.  `added_idx` indexes the flow pushed by start_flow
-  /// (kNoFlow when called from the timer or set_capacity_factor).
+  /// Drops flow `i`'s incidence entries and swap-removes it from the flow
+  /// arrays.  Returns true if a link it crossed still carries other flows.
+  bool remove_flow(std::size_t i);
+  /// Completes the flows whose finish has come, performs at most ONE rate
+  /// update for the combined arrival/departure change at this instant, and
+  /// re-arms the completion timer at the earliest finish.  `added_idx`
+  /// indexes the flow pushed by start_flow (kNoFlow when called from the
+  /// timer or set_capacity_factor).
   void settle(std::size_t added_idx = kNoFlow);
 
   sim::Scheduler& sched_;
   std::vector<Link> links_;
   std::vector<Flow> flows_;
-  std::vector<std::size_t> link_flow_count_;  // active flows per link, maintained
-  sim::TimePoint last_update_ = 0;
+  // Progress state, parallel to flows_: bytes left as of the stamp, rate,
+  // stamp and projected finish (kNever while stalled).
+  std::vector<double> remaining_;
+  std::vector<double> rate_;
+  std::vector<sim::TimePoint> stamp_;
+  std::vector<sim::TimePoint> finish_;
+  std::vector<std::vector<Incidence>> on_link_;  // per link: the flows crossing it
   sim::Timer completion_timer_;
   FlowStats stats_;
-  // Links with link_flow_count_ > 0, in no particular order; active_pos_[l]
-  // is l's index in it (valid while l is active), for O(1) removal.
+  // Links with a non-empty on_link_ list, in no particular order;
+  // active_pos_[l] is l's index in it (valid while l is active), for O(1)
+  // removal.
   std::vector<LinkId> active_links_;
   std::vector<std::size_t> active_pos_;
   // Solver scratch, persistent so steady-state recomputes do not allocate.
   std::vector<double> residual_;
   std::vector<std::size_t> unfrozen_on_link_;
-  std::vector<std::size_t> link_begin_;  // link's first entry in incidence_
-  std::vector<std::size_t> incidence_;   // flow indices grouped by link (CSR)
   std::vector<LinkId> live_links_;       // active links with unfrozen flows
   std::vector<LinkId> saturated_;
   std::vector<std::size_t> by_cap_;      // finite-cap flows, ascending cap
   std::vector<char> frozen_;
+  std::vector<double> new_rate_;         // the fill's rates, before re-stamping
   std::size_t lazy_threshold_ = 224;
   std::size_t lazy_interval_ = 12;
   std::size_t changes_since_full_ = 0;

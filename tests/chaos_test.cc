@@ -431,8 +431,8 @@ TEST(FaultPlanTest, OutageWindowRejectsOnlyInside) {
   std::vector<fault::TargetLinks> targets;
   for (int t = 0; t < 4; ++t) {
     fault::TargetLinks links;
-    links.write_link = flows.add_link(net::Link{"w" + std::to_string(t), net::LinkKind::target_svc, 1e9, {}, 1.0});
-    links.read_link = flows.add_link(net::Link{"r" + std::to_string(t), net::LinkKind::target_svc, 1e9, {}, 1.0});
+    links.write_link = flows.add_link(net::Link{std::to_string(t).insert(0, 1, 'w'), net::LinkKind::target_svc, 1e9, {}, 1.0});
+    links.read_link = flows.add_link(net::Link{std::to_string(t).insert(0, 1, 'r'), net::LinkKind::target_svc, 1e9, {}, 1.0});
     targets.push_back(links);
   }
   fault::FaultPlan plan(window_heavy_spec(5));
@@ -473,9 +473,9 @@ TEST(FaultPlanTest, OverlappingOutageWindowsAreMerged) {
     for (int t = 0; t < 3; ++t) {
       fault::TargetLinks links;
       links.write_link =
-          flows.add_link(net::Link{"w" + std::to_string(t), net::LinkKind::target_svc, 1e9, {}, 1.0});
+          flows.add_link(net::Link{std::to_string(t).insert(0, 1, 'w'), net::LinkKind::target_svc, 1e9, {}, 1.0});
       links.read_link =
-          flows.add_link(net::Link{"r" + std::to_string(t), net::LinkKind::target_svc, 1e9, {}, 1.0});
+          flows.add_link(net::Link{std::to_string(t).insert(0, 1, 'r'), net::LinkKind::target_svc, 1e9, {}, 1.0});
       targets.push_back(links);
     }
     plan.arm(sched, flows, targets, {});

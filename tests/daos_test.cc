@@ -224,7 +224,7 @@ TEST(ContainerTest, ContainerIssueEmulation) {
   Cluster cluster(sched, cfg);
   Status last = Status::ok();
   for (int i = 0; i < 8; ++i) {
-    last = cluster.create_container(Uuid::from_string_md5("c" + std::to_string(i)));
+    last = cluster.create_container(Uuid::from_string_md5(std::to_string(i).insert(0, 1, 'c')));
   }
   EXPECT_EQ(last.code(), Errc::unavailable);
 
@@ -233,7 +233,7 @@ TEST(ContainerTest, ContainerIssueEmulation) {
   cfg.server_nodes = 8;
   Cluster cluster2(sched2, cfg);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(cluster2.create_container(Uuid::from_string_md5("c" + std::to_string(i))).is_ok());
+    EXPECT_TRUE(cluster2.create_container(Uuid::from_string_md5(std::to_string(i).insert(0, 1, 'c'))).is_ok());
   }
 }
 

@@ -86,7 +86,7 @@ struct ScheduleHarness {
 
   void op_put() {
     const std::string key = random_key();
-    const std::string value = "v" + std::to_string(value_counter++);
+    const std::string value = std::to_string(value_counter++).insert(0, 1, 'v');
     kv->put(key, value, cont.write_epoch());
     live[key] = value;
   }
